@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 
 from . import presentation as pres
 from .laurent import (LaurentPoly, Symmetry, classify_symmetry, gcd_list,
@@ -279,10 +280,7 @@ class InvariantReport:
 
     @property
     def torsion_order(self):
-        out = 1
-        for d in self.torsion:
-            out *= d
-        return out
+        return prod(self.torsion)
 
     def as_dict(self):
         return {

@@ -81,8 +81,9 @@ def cmd_classify(args):
 
 def cmd_verify(args):
     names = args.corpus.split(",") if args.corpus else None
-    primes = [int(p) for p in args.primes.split(",")] if args.primes else None
     try:
+        primes = [int(p) for p in args.primes.split(",")] \
+            if args.primes else None
         reports = verify.run_suite(
             args.theorem, names=names, primes=primes, seed=args.seed,
             cases=args.cases, max_index=args.max_index,
@@ -91,6 +92,8 @@ def cmd_verify(args):
         return _fail(str(exc), EXIT_RESOURCE)
     except (KeyError, ValueError) as exc:
         return _fail(str(exc), EXIT_USAGE)
+    if not reports:
+        return _fail("%s: no cases to check" % args.theorem, EXIT_FAIL)
     failures = [r for r in reports if not r.ok]
     payload = {
         "theorem": args.theorem,
@@ -131,15 +134,12 @@ def build_parser():
     p_compute.add_argument("path", nargs="?",
                            help="presentation file (<gens | relators>)")
     p_compute.add_argument("--corpus", help="built-in presentation name")
-    p_compute.add_argument("--json", action="store_true", default=True,
-                           help="emit JSON (default, the only format)")
     p_compute.set_defaults(func=cmd_compute)
 
     p_classify = sub.add_parser(
         "classify", help="symmetry class and realizability of a polynomial")
     p_classify.add_argument("poly", help='e.g. "t^2 - 4*t + 1"')
     p_classify.add_argument("--arity", type=int, default=1)
-    p_classify.add_argument("--json", action="store_true", default=True)
     p_classify.set_defaults(func=cmd_classify)
 
     p_verify = sub.add_parser("verify", help="run a theorem check suite")
@@ -153,13 +153,11 @@ def build_parser():
                           help="largest cover index to build")
     p_verify.add_argument("--max-degree", type=int, default=12,
                           help="degree cap for random polynomials")
-    p_verify.add_argument("--json", action="store_true", default=True)
     p_verify.set_defaults(func=cmd_verify)
 
     p_corpus = sub.add_parser("corpus", help="list or show built-in entries")
     p_corpus.add_argument("action", choices=["list", "show"])
     p_corpus.add_argument("name", nargs="?")
-    p_corpus.add_argument("--json", action="store_true", default=True)
     p_corpus.set_defaults(func=cmd_corpus)
 
     return parser

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from math import comb, lcm
+from math import comb, lcm, prod
 
 from . import presentation as pres
 from .alexander import alexander_polynomial, fox_alexander_matrix
 from .cyclotomic import CyclotomicField, bareiss_rank
-from .laurent import root_of_unity_norm
+from .laurent import is_prime, root_of_unity_norm
 from .presentation import Presentation, abelianize, mod_p_rank, reduce_word
 
 DEFAULT_MAX_INDEX = 256
@@ -30,17 +30,6 @@ class CoverIndexError(RuntimeError):
                          % (order, limit))
         self.order = order
         self.limit = limit
-
-
-def is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -59,10 +48,7 @@ class DeckGroup:
 
     @property
     def order(self):
-        out = 1
-        for p in self.primes:
-            out *= p
-        return out
+        return prod(self.primes)
 
     def elements(self):
         return product(*(range(p) for p in self.primes))

@@ -12,16 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
 def _poly_divexact(a, b):
     """Exact quotient of integer coefficient lists (monic-leading b is not
     required, but the division must come out exact)."""

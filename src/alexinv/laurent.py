@@ -530,6 +530,17 @@ def gcd_list(polys, arity):
 # Exact products over roots of unity.
 # ----------------------------------------------------------------------
 
+def is_prime(p):
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def root_of_unity_norm(f, primes):
     """Exact integer product of f over all tuples of p_i-th roots of unity.
 
@@ -547,7 +558,7 @@ def root_of_unity_norm(f, primes):
     for p in primes:
         # the final reduction uses 1 + x + ... + x^(p-1), which is the
         # cyclotomic polynomial only for prime p
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if not is_prime(p):
             raise ValueError("%r is not prime" % (p,))
     n = f.arity
     primes = tuple(primes)

@@ -14,9 +14,11 @@ empty word, and ``#`` starts a line comment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 
-from .laurent import LaurentPoly, ParseError
+from .laurent import MAX_EXPONENT, LaurentPoly, ParseError
 
 NAME_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789_"
 
@@ -37,18 +39,12 @@ def inverse_word(word):
 
 
 def concat(*words):
-    out = ()
-    for w in words:
-        out = reduce_word(out + tuple(w))
-    return out
+    return reduce_word(chain(*words))
 
 
 def word_power(word, n):
     base = tuple(word) if n >= 0 else inverse_word(word)
-    out = ()
-    for _ in range(abs(n)):
-        out = reduce_word(out + base)
-    return out
+    return reduce_word(base * abs(n))
 
 
 @dataclass(frozen=True)
@@ -177,16 +173,23 @@ class _PresParser:
         return self.text[start:self.pos]
 
     def word(self):
-        out = self.atom()
+        atoms, length = [], 0
         while True:
+            atoms.append(self.atom())
+            length += len(atoms[-1])
+            self.check_length(length)
             ch = self.peek()
             if ch == "*":
                 self.pos += 1
-                out = concat(out, self.atom())
-            elif ch and (ch.isalpha() or ch in "([1"):
-                out = concat(out, self.atom())
-            else:
-                return out
+            elif not (ch and (ch.isalpha() or ch in "([1")):
+                return concat(*atoms)
+
+    def check_length(self, length):
+        # a word is stored letter by letter, so its length is capped the
+        # way parse_poly caps an exponent; a power is checked before it
+        # is built
+        if length > MAX_EXPONENT:
+            self.error("word too long (over %d letters)" % MAX_EXPONENT)
 
     def atom(self):
         ch = self.peek()
@@ -211,12 +214,11 @@ class _PresParser:
 
     def letter(self):
         self.skip_ws()
-        rest = self.text[self.pos:]
         for name in self.tokens:
-            if rest.startswith(name):
+            if self.text.startswith(name, self.pos):
                 self.pos += len(name)
                 return ((self.index[name], 1),)
-            if rest.startswith(name.upper()):
+            if self.text.startswith(name.upper(), self.pos):
                 self.pos += len(name)
                 return ((self.index[name], -1),)
         # isolate the offending identifier for the message
@@ -238,7 +240,9 @@ class _PresParser:
                 self.pos += 1
             if start == self.pos:
                 self.error("expected an integer exponent")
-            return word_power(word, sign * int(self.text[start:self.pos]))
+            n = sign * int(self.text[start:self.pos])
+            self.check_length(len(word) * abs(n))
+            return word_power(word, n)
         return word
 
 
@@ -253,116 +257,94 @@ def parse_presentation(text):
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U * A * V == D with U, V unimodular and D diagonal, the diagonal
-    entries nonnegative and each dividing the next."""
+    """The diagonal of the Smith normal form D = U * A * V, entries
+    nonnegative and each dividing the next, with the unimodular row
+    transform U (the column transform V is not kept)."""
 
-    D: tuple
+    diagonal: tuple
     U: tuple
-    V: tuple
-
-    @property
-    def diagonal(self):
-        m = len(self.D)
-        n = len(self.D[0]) if m else 0
-        return tuple(self.D[i][i] for i in range(min(m, n)))
 
     @property
     def invariant_factors(self):
         return tuple(d for d in self.diagonal if d != 0)
 
 
-def _identity(k):
-    return [[int(i == j) for j in range(k)] for i in range(k)]
-
-
 def smith_normal_form(A):
     """Exact Smith normal form of an integer matrix (any shape, may be empty).
 
     Pivots are chosen with minimal nonzero absolute value; purely integer
-    row/column reduction, no modular arithmetic.
+    row/column reduction, no modular arithmetic.  Each working row is
+    [A row | U row], so row operations update U for free and column
+    operations touch only the first n entries.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    D = [[int(x) for x in row] for row in A]
-    U = _identity(m)
-    V = _identity(n)
-
-    def swap_rows(a, b):
-        D[a], D[b] = D[b], D[a]
-        U[a], U[b] = U[b], U[a]
+    R = [[int(x) for x in row] + [int(i == k) for k in range(m)]
+         for i, row in enumerate(A)]
 
     def swap_cols(a, b):
-        for row in D:
-            row[a], row[b] = row[b], row[a]
-        for row in V:
+        for row in R:
             row[a], row[b] = row[b], row[a]
 
     def add_row(dst, src, factor):
         # row_dst += factor * row_src
-        Dd, Ds = D[dst], D[src]
-        for j in range(n):
-            Dd[j] += factor * Ds[j]
-        Ud, Us = U[dst], U[src]
-        for j in range(m):
-            Ud[j] += factor * Us[j]
+        R[dst] = [x + factor * y for x, y in zip(R[dst], R[src])]
 
     def add_col(dst, src, factor):
-        for row in D:
+        for row in R:
             row[dst] += factor * row[src]
-        for row in V:
-            row[dst] += factor * row[src]
-
-    def negate_row(i):
-        D[i] = [-x for x in D[i]]
-        U[i] = [-x for x in U[i]]
 
     t = 0
     while True:
         # locate a pivot of minimal absolute value in the trailing block
         pivot = None
         for i in range(t, m):
-            row = D[i]
+            row = R[i]
             for j in range(t, n):
                 v = row[j]
                 if v and (pivot is None or abs(v) < pivot[0]):
                     pivot = (abs(v), i, j)
+            if pivot is not None and pivot[0] == 1:
+                break  # no later entry is smaller
         if pivot is None:
             break
-        swap_rows(t, pivot[1])
+        R[t], R[pivot[1]] = R[pivot[1]], R[t]
         swap_cols(t, pivot[2])
         while True:
-            if D[t][t] < 0:
-                negate_row(t)
+            if R[t][t] < 0:
+                R[t] = [-x for x in R[t]]
             # reduce the pivot column and row; a nonzero remainder becomes
             # the new, strictly smaller pivot
             restart = False
             for i in range(t + 1, m):
-                if D[i][t]:
-                    q = D[i][t] // D[t][t]
+                if R[i][t]:
+                    q = R[i][t] // R[t][t]
                     if q:
                         add_row(i, t, -q)
-                    if D[i][t]:
-                        swap_rows(t, i)
+                    if R[i][t]:
+                        R[t], R[i] = R[i], R[t]
                         restart = True
                         break
             if restart:
                 continue
             for j in range(t + 1, n):
-                if D[t][j]:
-                    q = D[t][j] // D[t][t]
+                if R[t][j]:
+                    q = R[t][j] // R[t][t]
                     if q:
                         add_col(j, t, -q)
-                    if D[t][j]:
+                    if R[t][j]:
                         swap_cols(t, j)
                         restart = True
                         break
             if restart:
                 continue
             # cross is clear; enforce that the pivot divides the rest
+            p = R[t][t]
+            if p == 1:
+                break
             offender = None
-            p = D[t][t]
             for i in range(t + 1, m):
-                row = D[i]
+                row = R[i]
                 for j in range(t + 1, n):
                     if row[j] % p:
                         offender = i
@@ -374,9 +356,8 @@ def smith_normal_form(A):
             add_row(t, offender, 1)
         t += 1
 
-    return SmithDecomposition(tuple(tuple(row) for row in D),
-                              tuple(tuple(row) for row in U),
-                              tuple(tuple(row) for row in V))
+    return SmithDecomposition(tuple(R[i][i] for i in range(min(m, n))),
+                              tuple(tuple(row[n:]) for row in R))
 
 
 # ----------------------------------------------------------------------
@@ -395,10 +376,7 @@ class AbelianizationData:
 
     @property
     def torsion_order(self):
-        out = 1
-        for d in self.torsion:
-            out *= d
-        return out
+        return math.prod(self.torsion)
 
 
 def abelianize(P):
@@ -510,26 +488,14 @@ def fox_derivative(word, gen):
     return FreeGroupRingElement(terms)
 
 
-def abelianized_poly(element, gen_images, arity):
-    """Push a free-group-ring element through the free abelianization,
-    landing in the Laurent ring on ``arity`` variables."""
-    terms = {}
-    for word, coeff in element.terms.items():
-        exps = [0] * arity
-        for g, s in word:
-            img = gen_images[g]
-            for i in range(arity):
-                exps[i] += s * img[i]
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0) + coeff
-    return LaurentPoly(arity, terms)
-
-
 def fox_matrix(P, ab=None):
     """Relator-by-generator matrix of abelianized Fox derivatives.
 
     Entry (i, j) is the image of d(r_i)/d(x_j) in the Laurent ring on
-    rank-many variables.  Requires free rank >= 1.
+    rank-many variables.  Requires free rank >= 1.  Each relator is read
+    once, tracking the image e of the prefix in Z^rank: a letter x_j adds
+    t^e to entry j, a letter x_j^-1 adds -t^(e - img x_j).  This is the
+    product rule of :func:`fox_derivative` pushed through abelianization.
     """
     if ab is None:
         ab = abelianize(P)
@@ -537,8 +503,12 @@ def fox_matrix(P, ab=None):
         raise ValueError("free rank is 0; no Alexander matrix")
     rows = []
     for rel in P.relators:
-        row = tuple(abelianized_poly(fox_derivative(rel, j),
-                                     ab.gen_images, ab.rank)
-                    for j in range(P.num_generators))
-        rows.append(row)
+        terms = [{} for _ in range(P.num_generators)]
+        e = (0,) * ab.rank
+        for g, s in rel:
+            after = tuple(a + s * b for a, b in zip(e, ab.gen_images[g]))
+            key = e if s > 0 else after
+            terms[g][key] = terms[g].get(key, 0) + s
+            e = after
+        rows.append(tuple(LaurentPoly(ab.rank, t) for t in terms))
     return tuple(rows)

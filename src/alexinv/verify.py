@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations_with_replacement
+from math import prod
 
 from . import corpus
 from .alexander import (AlexanderMatrix, characterize_b1_one, full_report,
@@ -18,6 +19,7 @@ from .covers import (DEFAULT_MAX_INDEX, VerifyReport, b1_ge_4_consistency,
                      hironaka_predicted_betti, reidemeister_schreier,
                      shalen_wagreich_check, verify_torsion_cover_formula)
 from .laurent import LaurentPoly, Symmetry, involution, normalize, trace
+from .presentation import abelianize
 
 THEOREMS = ("levine", "blanchfield", "b1-one-characterization",
             "torsion-cover", "shalen-wagreich", "hironaka", "b1-ge-4")
@@ -198,24 +200,19 @@ def run_torsion_cover(names=None, primes=None, max_index=DEFAULT_MAX_INDEX):
     wider claims are left to explicit --corpus/--primes requests, which
     are answered honestly.
     """
-    selected = _selected(names)
-    if names is None and primes is None:
-        selected = [e for e in selected
-                    if full_report(e.presentation).b1 == 1]
     reports = []
-    for entry in selected:
-        rep = full_report(entry.presentation)
+    for entry in _selected(names):
+        b1 = abelianize(entry.presentation).rank
+        if names is None and primes is None and b1 != 1:
+            continue
         if primes is not None:
             prime_tuples = [tuple(primes)]
         else:
-            prime_tuples = [(p,) * rep.b1 for p in (2, 3)]
+            prime_tuples = [(p,) * b1 for p in (2, 3)]
         for tup in prime_tuples:
-            if len(tup) != rep.b1:
-                raise ValueError("need %d primes for %s" % (rep.b1, entry.name))
-            order = 1
-            for p in tup:
-                order *= p
-            if order > max_index:
+            if len(tup) != b1:
+                raise ValueError("need %d primes for %s" % (b1, entry.name))
+            if prod(tup) > max_index:
                 continue
             report = verify_torsion_cover_formula(entry.presentation, tup,
                                                   max_index)
@@ -236,14 +233,8 @@ def run_shalen_wagreich(names=None, primes=(2, 3),
 
 
 def _cover_prime_tuples(rank, max_index, primes=(2, 3, 5)):
-    out = []
-    for tup in combinations_with_replacement(primes, rank):
-        order = 1
-        for p in tup:
-            order *= p
-        if order <= max_index:
-            out.append(tup)
-    return out
+    return [tup for tup in combinations_with_replacement(primes, rank)
+            if prod(tup) <= max_index]
 
 
 def run_hironaka(names=None, max_index=DEFAULT_MAX_INDEX):
@@ -252,7 +243,7 @@ def run_hironaka(names=None, max_index=DEFAULT_MAX_INDEX):
     for every corpus cover within the index limit."""
     reports = []
     for entry in _selected(names):
-        rank = full_report(entry.presentation).b1
+        rank = abelianize(entry.presentation).rank
         for tup in _cover_prime_tuples(rank, max_index):
             cm = free_abelian_cover(entry.presentation, tup)
             predicted = hironaka_predicted_betti(entry.presentation, cm)
@@ -268,7 +259,7 @@ def run_hironaka(names=None, max_index=DEFAULT_MAX_INDEX):
 def run_b1_ge_4(names=None):
     reports = []
     for entry in _selected(names):
-        if full_report(entry.presentation).b1 < 4:
+        if abelianize(entry.presentation).rank < 4:
             continue
         rep = b1_ge_4_consistency(entry.presentation)
         rep.inputs["name"] = entry.name

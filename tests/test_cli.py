@@ -55,6 +55,12 @@ class TestCompute:
         code, _, err = run(capsys, "compute")
         assert code == 2
 
+    def test_oversized_word(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("<x | x^2000000>")
+        code, out, err = run(capsys, "compute", str(path))
+        assert code == 2 and "too long" in err and not out
+
 
 class TestClassify:
     def test_unit_symmetric(self, capsys):
@@ -139,6 +145,17 @@ class TestVerify:
         _, out2, _ = run(capsys, "verify", "b1-one-characterization",
                          "--seed", "3", "--cases", "5")
         assert out1 == out2
+
+    def test_bad_primes(self, capsys):
+        code, out, err = run(capsys, "verify", "torsion-cover",
+                             "--corpus", "mapping-torus-A", "--primes", "x")
+        assert code == 2 and "'x'" in err and not out
+
+    @pytest.mark.parametrize("argv", [("levine", "--cases", "-3"),
+                                      ("hironaka", "--max-index", "0")])
+    def test_zero_cases_fail(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 1 and "no cases" in err and not out
 
     def test_hironaka_single_entry(self, capsys):
         code, out, _ = run(capsys, "verify", "hironaka",

@@ -2,13 +2,19 @@ import random
 
 import pytest
 
-from alexinv.laurent import ParseError, parse_poly
+from alexinv import corpus
+from alexinv.laurent import LaurentPoly, ParseError, parse_poly
 from alexinv.presentation import (FreeGroupRingElement, Presentation,
-                                  abelianize, fox_derivative, fox_matrix,
-                                  inverse_word, mod_p_rank,
+                                  abelianize, concat, fox_derivative,
+                                  fox_matrix, inverse_word, mod_p_rank,
                                   parse_presentation, reduce_word,
-                                  smith_normal_form)
-from conftest import smith_factors_oracle
+                                  smith_normal_form, word_power)
+from conftest import int_det, smith_factors_oracle
+
+
+def random_word(rng, n, max_len):
+    return tuple((rng.randrange(n), rng.choice((1, -1)))
+                 for _ in range(rng.randrange(max_len)))
 
 
 class TestParsing:
@@ -55,6 +61,13 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_presentation("<x, x | >")
 
+    @pytest.mark.parametrize("text", ["<x | x^2000000>",
+                                      "<x | x^600000*x^600000>"])
+    def test_word_too_long(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_presentation(text)
+        assert "too long" in str(err.value)
+
 
 class TestWords:
     def test_cancellation(self):
@@ -71,6 +84,24 @@ class TestWords:
             assert reduce_word(r) == r
             assert reduce_word(r + inverse_word(r)) == ()
 
+    def test_power_and_concat_match_letterwise(self):
+        def letterwise(letters):
+            out = []
+            for g, s in letters:
+                if out and out[-1] == (g, -s):
+                    out.pop()
+                else:
+                    out.append((g, s))
+            return tuple(out)
+
+        rng = random.Random(7)
+        for _ in range(200):
+            words = [random_word(rng, 3, 8) for _ in range(rng.randint(0, 4))]
+            assert concat(*words) == letterwise(sum(words, ()))
+            w, n = words[0] if words else (), rng.randint(-5, 5)
+            base = w if n >= 0 else tuple((g, -s) for g, s in reversed(w))
+            assert word_power(w, n) == letterwise(base * abs(n))
+
 
 class TestSmith:
     def test_diag_2_3(self):
@@ -82,7 +113,7 @@ class TestSmith:
     def test_identity(self):
         snf = smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert snf.invariant_factors == (1, 1, 1)
-        assert snf.D == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert snf.diagonal == (1, 1, 1)
 
     def test_2x2_example(self):
         A = [[2, 4], [6, 8]]
@@ -101,13 +132,16 @@ class TestSmith:
             A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
             snf = smith_normal_form(A)
             assert snf.invariant_factors == smith_factors_oracle(A)
-            # U A V == D exactly
-            UA = [[sum(snf.U[i][k] * A[k][j] for k in range(m))
-                   for j in range(n)] for i in range(m)]
-            UAV = [[sum(UA[i][k] * snf.V[k][j] for k in range(n))
-                    for j in range(n)] for i in range(m)]
-            assert tuple(tuple(r) for r in UAV) == snf.D
+            # U is unimodular and row i of U A lies in d_i Z^n (zero where
+            # d_i = 0 or past the diagonal): the property abelianize and
+            # mod_p_cover read U for
+            assert abs(int_det(snf.U)) == 1
             diag = snf.diagonal
+            for i in range(m):
+                row = [sum(snf.U[i][k] * A[k][j] for k in range(m))
+                       for j in range(n)]
+                d = diag[i] if i < len(diag) else 0
+                assert all(x % d == 0 if d else x == 0 for x in row)
             for a, b in zip(diag, diag[1:]):
                 assert a >= 0 and (b % a == 0 if a else b == 0)
 
@@ -220,3 +254,35 @@ class TestFoxMatrix:
     def test_rank_zero_rejected(self):
         with pytest.raises(ValueError):
             fox_matrix(parse_presentation("<x | x>"))
+
+    @staticmethod
+    def reference(P, ab):
+        """Fox derivatives in Z[F], abelianized one word at a time."""
+        rows = []
+        for rel in P.relators:
+            row = []
+            for j in range(P.num_generators):
+                terms = {}
+                for word, coeff in fox_derivative(rel, j).terms.items():
+                    exps = tuple(sum(s * ab.gen_images[g][i] for g, s in word)
+                                 for i in range(ab.rank))
+                    terms[exps] = terms.get(exps, 0) + coeff
+                row.append(LaurentPoly(ab.rank, terms))
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @pytest.mark.parametrize("name", corpus.names())
+    def test_corpus_matches_free_calculus(self, name):
+        P = corpus.get(name).presentation
+        ab = abelianize(P)
+        assert fox_matrix(P, ab) == self.reference(P, ab)
+
+    def test_random_matches_free_calculus(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            n = rng.randint(2, 4)
+            relators = [random_word(rng, n, 16)
+                        for _ in range(rng.randint(1, n - 1))]
+            P = Presentation(tuple("g%d" % i for i in range(n)), relators)
+            ab = abelianize(P)
+            assert fox_matrix(P, ab) == self.reference(P, ab)
