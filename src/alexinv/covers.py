@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 
 from . import presentation as pres
 from .alexander import alexander_polynomial, fox_alexander_matrix
@@ -58,6 +58,25 @@ class DeckGroup:
             if nontrivial_only and not any(exps):
                 continue
             yield Character(exps)
+
+    def character_orbits(self):
+        """Galois orbits of the nontrivial characters, each once as
+        (representative, size).
+
+        A character with exponents e has squarefree order m, the lcm of the
+        p_i with e_i != 0, and a in (Z/m)^x sends it to the character with
+        exponents a*e.  Its orbit has phi(m) members, since a*e = e forces
+        a = 1 mod m.
+        """
+        seen = set()
+        for exps in self.elements():
+            if exps in seen or not any(exps):
+                continue
+            m = lcm(*(p for p, e in zip(self.primes, exps) if e))
+            orbit = {tuple(a * e % p for e, p in zip(exps, self.primes))
+                     for a in range(1, m) if gcd(a, m) == 1}
+            seen |= orbit
+            yield Character(exps), len(orbit)
 
 
 @dataclass(frozen=True)
@@ -150,16 +169,21 @@ def mod_p_cover(P, p):
     return CoverMap(P, DeckGroup((p,) * len(coords)), assignment)
 
 
-def free_abelian_cover(P, primes):
-    """The cover below the universal free abelian cover determined by
-    reducing the i-th free coordinate of H_1 mod primes[i]."""
-    ab = abelianize(P)
+def _free_abelian_assignment(ab, primes):
+    """Generator images of the cover that reduces the i-th free coordinate
+    of the abelianization ``ab`` mod primes[i]."""
     if ab.rank != len(primes):
         raise ValueError("need exactly one prime per free coordinate "
                          "(b1 = %d, got %d primes)" % (ab.rank, len(primes)))
-    assignment = tuple(tuple(img[i] % p for i, p in enumerate(primes))
-                       for img in ab.gen_images)
-    return CoverMap(P, DeckGroup(tuple(primes)), assignment)
+    return tuple(tuple(img[i] % p for i, p in enumerate(primes))
+                 for img in ab.gen_images)
+
+
+def free_abelian_cover(P, primes):
+    """The cover below the universal free abelian cover determined by
+    reducing the i-th free coordinate of H_1 mod primes[i]."""
+    return CoverMap(P, DeckGroup(tuple(primes)),
+                    _free_abelian_assignment(abelianize(P), primes))
 
 
 def reidemeister_schreier(cm, max_index=DEFAULT_MAX_INDEX):
@@ -277,19 +301,18 @@ def hironaka_predicted_betti(P, cm):
     With P(t_1..t_r) the Fox matrix (R generator columns), each nontrivial
     deck character chi contributes the number of indices i in [1, R-1] with
     rank(P(chi)) < R - i; the prediction is b_1 of the base plus the total.
-    Requires a cover below the universal free abelian cover, with one prime
-    per free coordinate.
+    P has integer entries, so a Galois automorphism of Q(zeta_m) maps P(chi)
+    to P(chi^a) and keeps its rank: one rank per Galois orbit of characters,
+    weighted by the orbit's size, gives the total.  Requires a cover below
+    the universal free abelian cover, with one prime per free coordinate.
     """
     ab = abelianize(P)
-    expected = free_abelian_cover(P, cm.deck.primes)
-    if cm.assignment != expected.assignment:
+    if cm.assignment != _free_abelian_assignment(ab, cm.deck.primes):
         raise ValueError("cover does not lie below the universal free "
                          "abelian cover in the Smith basis")
     A = fox_alexander_matrix(P, ab)
-    total = 0
-    for chi in cm.deck.characters(nontrivial_only=True):
-        rank = char_rank(A, chi, cm.deck)
-        total += max(0, A.ncols - 1 - rank)
+    total = sum(size * max(0, A.ncols - 1 - char_rank(A, chi, cm.deck))
+                for chi, size in cm.deck.character_orbits())
     return ab.rank + total
 
 

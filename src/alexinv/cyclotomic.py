@@ -150,27 +150,11 @@ class CyclotomicField:
                     zip(s0 + [Fraction(0)] * (len(qs1) - len(s0)), qs1)]
             r0, r1, s0, s1 = r1, rem, s1, news
 
-    def divexact(self, a, b):
-        """a / b, asserted to land back in Z[zeta_m]."""
-        inv = self.inverse(b)
-        d = self.degree
-        out = [Fraction(0)] * d
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(inv):
-                if not y:
-                    continue
-                k = i + j
-                if k < d:
-                    out[k] += x * y
-                else:
-                    red = self._power_table[k]
-                    for idx in range(d):
-                        if red[idx]:
-                            out[idx] += x * y * red[idx]
+    def times_inverse(self, a, inv):
+        """a * inv for inv = inverse(b): the exact quotient a / b once b is
+        inverted, asserted to land back in Z[zeta_m]."""
         result = []
-        for c in out:
+        for c in self.mul(a, inv):
             if c.denominator != 1:
                 raise ArithmeticError("Bareiss division left the ring")
             result.append(int(c))
@@ -179,7 +163,8 @@ class CyclotomicField:
 
 def bareiss_rank(rows, field):
     """Exact rank of a matrix over Z[zeta_m] by one-step Bareiss
-    elimination with first-nonzero pivoting."""
+    elimination with first-nonzero pivoting.  Each step inverts the previous
+    pivot once and divides every updated entry by it through that inverse."""
     mat = [list(row) for row in rows]
     m = len(mat)
     n = len(mat[0]) if m else 0
@@ -194,13 +179,15 @@ def bareiss_rank(rows, field):
             continue
         mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
         pivot = mat[rank][col]
-        for i in range(rank + 1, m):
-            row = mat[i]
-            for j in range(col + 1, n):
-                num = field.sub(field.mul(pivot, row[j]),
-                                field.mul(row[col], mat[rank][j]))
-                row[j] = field.divexact(num, prev)
-            row[col] = field.zero
+        if rank + 1 < m and col + 1 < n:
+            inv = field.inverse(prev)
+            for i in range(rank + 1, m):
+                row = mat[i]
+                for j in range(col + 1, n):
+                    num = field.sub(field.mul(pivot, row[j]),
+                                    field.mul(row[col], mat[rank][j]))
+                    row[j] = field.times_inverse(num, inv)
+                row[col] = field.zero
         prev = pivot
         rank += 1
     return rank

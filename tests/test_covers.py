@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import gcd, lcm, prod
 
 import pytest
 
 from alexinv.alexander import AlexanderMatrix, fox_alexander_matrix
-from alexinv.corpus import get
+from alexinv.corpus import entries, get
 from alexinv.covers import (Character, CoverIndexError, CoverMap, DeckGroup,
                             b1_ge_4_consistency, char_rank, cover_homology,
                             free_abelian_cover, hironaka_predicted_betti,
@@ -15,6 +17,7 @@ from alexinv.cyclotomic import (CyclotomicField, bareiss_rank,
                                 cyclotomic_polynomial)
 from alexinv.laurent import LaurentPoly, parse_poly
 from alexinv.presentation import abelianize, parse_presentation
+from alexinv.verify import random_matrix
 from conftest import int_det, mat_pow
 
 T3 = parse_presentation("<x,y,z | [x,y], [x,z], [y,z]>")
@@ -54,7 +57,7 @@ class TestCyclotomic:
         fld = CyclotomicField(5)
         a = fld.add(fld.root_power(1), fld.from_int(2))
         b = fld.sub(fld.root_power(3), fld.from_int(4))
-        assert fld.divexact(fld.mul(a, b), b) == a
+        assert fld.times_inverse(fld.mul(a, b), fld.inverse(b)) == a
 
     def test_inverse(self):
         fld = CyclotomicField(3)
@@ -107,6 +110,58 @@ class TestDeckAndCoverMap:
     def test_surjectivity_check(self):
         with pytest.raises(ValueError):
             CoverMap(FREE1, DeckGroup((3,)), ((0,),))
+
+
+def character_order(exps, primes):
+    return lcm(*(p for p, e in zip(primes, exps) if e % p))
+
+
+def same_cyclic_group(exps, primes):
+    """Characters that generate the same cyclic group as exps: its
+    multiples of the same order."""
+    multiples = {tuple(k * e % p for e, p in zip(exps, primes))
+                 for k in range(1, prod(primes) + 1)}
+    return {v for v in multiples
+            if character_order(v, primes) == character_order(exps, primes)}
+
+
+class TestCharacterOrbits:
+    @pytest.mark.parametrize("primes", [(2, 3), (5, 5), (3, 3, 3),
+                                        (2, 3, 5)])
+    def test_orbits_partition_with_constant_rank(self, primes):
+        deck = DeckGroup(primes)
+        orbits = list(deck.character_orbits())
+        members = [same_cyclic_group(chi.exponents, primes)
+                   for chi, _ in orbits]
+        flat = [v for orbit in members for v in orbit]
+        assert len(flat) == len(set(flat))
+        assert set(flat) == {chi.exponents for chi
+                             in deck.characters(nontrivial_only=True)}
+        for (chi, size), orbit in zip(orbits, members):
+            m = character_order(chi.exponents, primes)
+            assert size == len(orbit) == sum(
+                1 for a in range(1, m) if gcd(a, m) == 1)
+
+        # a random matrix whose first row is scaled by Phi_p(t_0), which
+        # vanishes exactly at the characters with e_0 != 0
+        arity = len(primes)
+        t0 = LaurentPoly.variable(0, arity)
+        phi = sum((t0 ** k for k in range(1, primes[0])),
+                  LaurentPoly.one(arity))
+        rows = random_matrix(random.Random(3), 3, 3, arity).rows
+        matrices = [AlexanderMatrix.from_rows(
+            [[phi * x for x in rows[0]]] + list(rows[1:]), arity)]
+        matrices += [fox_alexander_matrix(P) for P in (T3, HEIS)
+                     if abelianize(P).rank == arity]
+        assert len(matrices) == 2
+        random_ranks = set()
+        for k, A in enumerate(matrices):
+            for orbit in members:
+                ranks = {char_rank(A, Character(v), deck) for v in orbit}
+                assert len(ranks) == 1
+                if k == 0:
+                    random_ranks |= ranks
+        assert len(random_ranks) > 1
 
 
 class TestModP:
@@ -297,6 +352,27 @@ class TestHironaka:
             predicted = hironaka_predicted_betti(P, cm)
             actual = cover_homology(reidemeister_schreier(cm)).rank
             assert predicted == actual == 1 + cm.deck.order * (n - 1)
+
+    def test_orbit_sum_matches_per_character_sum(self):
+        # every corpus cover with primes from {2, 3, 5, 7} and index <= 50
+        covers = mixed = 0
+        for entry in entries():
+            P = entry.presentation
+            ab = abelianize(P)
+            A = fox_alexander_matrix(P, ab)
+            for primes in product((2, 3, 5, 7), repeat=ab.rank):
+                if prod(primes) > 50:
+                    continue
+                cm = free_abelian_cover(P, primes)
+                oracle = ab.rank + sum(
+                    max(0, A.ncols - 1 - char_rank(A, chi, cm.deck))
+                    for chi in cm.deck.characters(nontrivial_only=True))
+                assert hironaka_predicted_betti(P, cm) == oracle, \
+                    (entry.name, primes)
+                covers += 1
+                mixed += len(set(primes)) > 1
+        assert covers == 97
+        assert mixed > 0
 
     def test_rejects_non_free_cover(self):
         P = get("mapping-torus-A").presentation
