@@ -8,10 +8,11 @@ character ranks verify the cover theorems; see :mod:`alexinv.verify`.
 """
 
 from .alexander import (AlexanderMatrix, AlexanderPolynomial, InvariantReport,
-                        alexander_polynomial, characterize_b1_one,
-                        check_blanchfield, check_levine_hypotheses,
-                        elementary_minors, full_report, levine_extend,
-                        order_zero_direct, torsion_order_b1_one)
+                        MinorBudgetError, alexander_polynomial,
+                        characterize_b1_one, check_blanchfield,
+                        check_levine_hypotheses, elementary_minors,
+                        full_report, levine_extend, order_zero_direct,
+                        torsion_order_b1_one)
 from .covers import (Character, CoverIndexError, CoverMap, CoverPresentation,
                      DeckGroup, b1_ge_4_consistency, char_rank,
                      cover_homology, free_abelian_cover,

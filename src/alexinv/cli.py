@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import corpus, verify
-from .alexander import full_report
+from .alexander import MinorBudgetError, full_report
 from .covers import CoverIndexError
 from .laurent import ParseError, classify_symmetry, parse_poly, trace
 from .presentation import parse_presentation
@@ -47,6 +47,8 @@ def cmd_compute(args):
         return _fail(str(exc), EXIT_USAGE)
     try:
         report = full_report(P)
+    except MinorBudgetError as exc:
+        return _fail(str(exc), EXIT_RESOURCE)
     except ValueError as exc:
         return _fail(str(exc), EXIT_FAIL)
     _emit(report.as_dict())
@@ -88,7 +90,7 @@ def cmd_verify(args):
             args.theorem, names=names, primes=primes, seed=args.seed,
             cases=args.cases, max_index=args.max_index,
             max_degree=args.max_degree)
-    except CoverIndexError as exc:
+    except (CoverIndexError, MinorBudgetError) as exc:
         return _fail(str(exc), EXIT_RESOURCE)
     except (KeyError, ValueError) as exc:
         return _fail(str(exc), EXIT_USAGE)

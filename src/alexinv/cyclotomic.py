@@ -164,7 +164,8 @@ class CyclotomicField:
 def bareiss_rank(rows, field):
     """Exact rank of a matrix over Z[zeta_m] by one-step Bareiss
     elimination with first-nonzero pivoting.  Each step inverts the previous
-    pivot once and divides every updated entry by it through that inverse."""
+    pivot once and divides every updated entry by it through that inverse;
+    the first step's previous pivot is 1, so it divides by nothing."""
     mat = [list(row) for row in rows]
     m = len(mat)
     n = len(mat[0]) if m else 0
@@ -180,13 +181,14 @@ def bareiss_rank(rows, field):
         mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
         pivot = mat[rank][col]
         if rank + 1 < m and col + 1 < n:
-            inv = field.inverse(prev)
+            inv = field.inverse(prev) if rank else None
             for i in range(rank + 1, m):
                 row = mat[i]
                 for j in range(col + 1, n):
                     num = field.sub(field.mul(pivot, row[j]),
                                     field.mul(row[col], mat[rank][j]))
-                    row[j] = field.times_inverse(num, inv)
+                    row[j] = num if inv is None \
+                        else field.times_inverse(num, inv)
                 row[col] = field.zero
         prev = pivot
         rank += 1

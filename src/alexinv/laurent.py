@@ -455,19 +455,23 @@ def _content_and_primitive(f, n):
 
 
 def _pseudo_rem(f, g, n):
-    """Pseudo-remainder of f by g in the main variable x_n."""
+    """Pseudo-remainder of f by g in the main variable x_n.  When g's
+    leading coefficient is 1 every product by it is the identity, so it is
+    skipped: this is then the plain remainder."""
     df, dg = _main_degree(f, n), _main_degree(g, n)
     lg = _main_coeff(g, n, dg)
+    monic = lg == {(0,) * len(next(iter(g))): 1}
     r = dict(f)
     steps = df - dg + 1
     while r and _main_degree(r, n) >= dg:
         dr = _main_degree(r, n)
         lr = _main_coeff(r, n, dr)
-        r = _dict_sub(_dict_mul(lg, r),
+        r = _dict_sub(r if monic else _dict_mul(lg, r),
                       _dict_mul(_attach_main(lr, n, dr - dg), g))
         steps -= 1
-    for _ in range(steps):
-        r = _dict_mul(lg, r)
+    if not monic:
+        for _ in range(steps):
+            r = _dict_mul(lg, r)
     return r
 
 

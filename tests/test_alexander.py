@@ -2,14 +2,18 @@ import random
 
 import pytest
 
+import alexinv.alexander
+from alexinv import corpus
 from alexinv.alexander import (AlexanderMatrix, LevineHypothesisError,
-                               alexander_polynomial, characterize_b1_one,
-                               check_blanchfield, check_levine_hypotheses,
-                               det, elementary_minors, fox_alexander_matrix,
+                               MinorBudgetError, alexander_polynomial,
+                               characterize_b1_one, check_blanchfield,
+                               check_levine_hypotheses, det,
+                               elementary_minors, fox_alexander_matrix,
                                full_report, levine_extend, order_zero_direct,
-                               torsion_order_b1_one)
-from alexinv.laurent import LaurentPoly, normalize, parse_poly
-from alexinv.presentation import parse_presentation
+                               torsion_order_b1_one, unit_reduce)
+from alexinv.laurent import LaurentPoly, gcd_list, normalize, parse_poly
+from alexinv.presentation import (Presentation, abelianize, inverse_word,
+                                  parse_presentation)
 from alexinv.verify import (random_matrix, random_symmetric_nonzero_trace,
                             random_unit_symmetric_nonzero_trace)
 from conftest import palindrome_unit_symmetric
@@ -39,6 +43,119 @@ class TestMinors:
         zero = LaurentPoly.zero(1)
         rows = [[t - 1, zero], [zero, t + 1]]
         assert det(rows, 1) == t ** 2 - 1
+
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(alexinv.alexander, "MAX_MINORS", 4)
+        one = LaurentPoly.one(1)
+        assert len(elementary_minors(
+            AlexanderMatrix.from_rows([[one, one]] * 2, 1), 1)) == 4
+        with pytest.raises(MinorBudgetError, match="6 minors of size 1"):
+            elementary_minors(AlexanderMatrix.from_rows([[one, one]] * 3, 1),
+                              1)
+        # the empty minor and oversized sizes enumerate nothing
+        big = AlexanderMatrix.from_rows([[one] * 9] * 9, 1)
+        assert elementary_minors(big, 0) == [one]
+        assert elementary_minors(big, 10) == []
+
+    def test_budget_checked_before_enumerating(self):
+        # C(40, 20)^2 minors: any enumeration would never finish
+        one = LaurentPoly.one(1)
+        A = AlexanderMatrix.from_rows([[one] * 40] * 40, 1)
+        with pytest.raises(MinorBudgetError):
+            elementary_minors(A, 20)
+
+
+def unreduced_delta(P):
+    """The defining GCD of all (n-1)-minors of the whole Fox matrix."""
+    A = fox_alexander_matrix(P)
+    return normalize(gcd_list(elementary_minors(A, A.ncols - 1), A.arity))
+
+
+def companion(n):
+    """Companion matrix of x^n - x - 1."""
+    C = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        C[i][i - 1] = 1
+    C[0][n - 1] = C[1][n - 1] = 1
+    return C
+
+
+def random_presentation(rng):
+    """A random presentation on 1-4 generators; some relators are
+    commutators, whose Fox rows hold no unit entry."""
+    n = rng.randint(1, 4)
+    gens = tuple("g%d" % i for i in range(n))
+
+    def word(length):
+        return tuple((rng.randrange(n), rng.choice((1, -1)))
+                     for _ in range(length))
+
+    relators = []
+    for _ in range(rng.randint(0, 4)):
+        if rng.random() < 0.5:
+            u, v = word(rng.randint(1, 3)), word(rng.randint(1, 3))
+            relators.append(u + v + inverse_word(u) + inverse_word(v))
+        else:
+            relators.append(word(rng.randint(1, 8)))
+    return Presentation(gens, relators)
+
+
+class TestUnitReduce:
+    @pytest.mark.parametrize("name", corpus.names())
+    def test_corpus_matches_unreduced_minors(self, name):
+        P = corpus.get(name).presentation
+        assert alexander_polynomial(P).poly == unreduced_delta(P)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_companion_mapping_tori(self, n):
+        P = corpus.mapping_torus(companion(n)).presentation
+        B, k = unit_reduce(fox_alexander_matrix(P))
+        assert k == n - 1 and B.ncols == 2
+        tn = LaurentPoly.variable(0, 1)
+        assert alexander_polynomial(P).poly == unreduced_delta(P) \
+            == tn ** n - tn - 1
+
+    def test_random_matches_unreduced_minors(self):
+        rng = random.Random(41)
+        checked = no_units = no_rows = empty_minor = 0
+        while checked < 250:
+            P = random_presentation(rng)
+            if abelianize(P).rank < 1:
+                continue
+            A = fox_alexander_matrix(P)
+            B, k = unit_reduce(A)
+            assert B.ncols == A.ncols - k and B.nrows <= A.nrows - k
+            assert not any(e.is_unit() for row in B.rows for e in row)
+            no_units += k == 0 and any(e for row in A.rows for e in row)
+            no_rows += k > 0 and B.nrows == 0
+            empty_minor += k == A.ncols - 1
+            assert alexander_polynomial(P).poly == unreduced_delta(P)
+            checked += 1
+        assert min(no_units, no_rows, empty_minor) >= 20
+
+    def test_reduction_keeps_the_ideal(self):
+        # u + B, u a unit: clearing u leaves B, one size smaller
+        t1, t2 = LaurentPoly.variable(0, 2), LaurentPoly.variable(1, 2)
+        zero = LaurentPoly.zero(2)
+        A = AlexanderMatrix.from_rows(
+            [[-t1 ** -1, zero, zero],
+             [t2 - 1, 1 - t1, zero],
+             [t1 + 1, t2 - 1, t1 * t2 - 1]], 2)
+        B, k = unit_reduce(A)
+        assert k == 1 and B.rows == ((1 - t1, zero), (t2 - 1, t1 * t2 - 1))
+        for s in (1, 2):
+            assert gcd_list(elementary_minors(A, s + 1), 2) \
+                == gcd_list(elementary_minors(B, s), 2)
+
+    def test_over_budget_block(self):
+        # T^8: 28 commutator rows with no unit entry, 7-minors over budget
+        gens = ["x%d" % i for i in range(8)]
+        P = parse_presentation("<%s | %s>" % (", ".join(gens), ", ".join(
+            "[%s,%s]" % (a, b) for i, a in enumerate(gens)
+            for b in gens[i + 1:])))
+        assert unit_reduce(fox_alexander_matrix(P))[1] == 0
+        with pytest.raises(MinorBudgetError):
+            alexander_polynomial(P)
 
 
 class TestAlexanderPolynomial:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -60,6 +61,20 @@ class TestCompute:
         path.write_text("<x | x^2000000>")
         code, out, err = run(capsys, "compute", str(path))
         assert code == 2 and "too long" in err and not out
+
+    def test_minor_budget(self, tmp_path, capsys):
+        # T^9: 36 commutator rows, no unit entry, 8-minors far over budget
+        gens = ["x%d" % i for i in range(9)]
+        path = tmp_path / "t9.txt"
+        path.write_text("<%s | %s>" % (", ".join(gens), ", ".join(
+            "[%s,%s]" % (a, b) for i, a in enumerate(gens)
+            for b in gens[i + 1:])))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "compute", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert code == 3 and not out
+        assert err.startswith("error: ") and "exceed the limit" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestClassify:

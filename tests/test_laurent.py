@@ -199,6 +199,58 @@ class TestGcd:
         assert gcd_list([], 1).is_zero()
         assert gcd_list([t - 1, t + 1, LaurentPoly.zero(1)], 1).is_one()
 
+    @staticmethod
+    def general_pseudo_rem(f, g, n):
+        """The pseudo-remainder loop that multiplies by the leading
+        coefficient on every step, whatever it is."""
+        L = alexinv.laurent
+        dg = L._main_degree(g, n)
+        lg = L._main_coeff(g, n, dg)
+        r = dict(f)
+        steps = L._main_degree(f, n) - dg + 1
+        while r and L._main_degree(r, n) >= dg:
+            dr = L._main_degree(r, n)
+            lr = L._main_coeff(r, n, dr)
+            r = L._dict_sub(L._dict_mul(lg, r),
+                            L._dict_mul(L._attach_main(lr, n, dr - dg), g))
+            steps -= 1
+        for _ in range(steps):
+            r = L._dict_mul(lg, r)
+        return r
+
+    def test_monic_pseudo_rem_matches_general_path(self):
+        rng = random.Random(23)
+
+        def dict_poly(arity, n, main_degree, terms):
+            # exponents >= 0, zero past variable n, main degree below bound
+            out = {}
+            for _ in range(terms):
+                e = [rng.randint(0, 3) if i < n - 1 else 0
+                     for i in range(arity)]
+                e[n - 1] = rng.randint(0, main_degree)
+                out[tuple(e)] = out.get(tuple(e), 0) + rng.randint(-5, 5)
+            return {e: c for e, c in out.items() if c}
+
+        checked = 0
+        for _ in range(200):
+            arity = rng.randint(1, 3)
+            n = rng.randint(1, arity)
+            dg = rng.randint(1, 3)
+            g = dict_poly(arity, n, dg - 1, rng.randint(0, 4))
+            lead = (0,) * (n - 1) + (dg,) + (0,) * (arity - n)
+            g[lead] = 1
+            f = dict_poly(arity, n, rng.randint(0, 6), rng.randint(1, 6))
+            if not f:
+                continue
+            r = alexinv.laurent._pseudo_rem(f, g, n)
+            assert r == self.general_pseudo_rem(f, g, n)
+            # monic: the plain remainder, of lower degree, f - r a multiple
+            assert not r or alexinv.laurent._main_degree(r, n) < dg
+            diff = LaurentPoly(arity, f) - LaurentPoly(arity, r)
+            assert divide_exact(diff, LaurentPoly(arity, g)) is not None
+            checked += 1
+        assert checked > 150
+
 
 class TestDivideExact:
     def test_non_divisible(self):
