@@ -26,6 +26,6 @@ from .laurent import (LaurentPoly, MonomialUnit, ParseError, Symmetry,
 from .presentation import (AbelianizationData, Presentation,
                            SmithDecomposition, abelianize, fox_derivative,
                            fox_matrix, parse_presentation, reduce_word,
-                           smith_normal_form)
+                           smith_invariants, smith_normal_form)
 
 __version__ = "0.1.0"

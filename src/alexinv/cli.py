@@ -56,6 +56,8 @@ def cmd_compute(args):
 
 
 def cmd_classify(args):
+    if args.arity < 1:
+        return _fail("--arity must be at least 1", EXIT_USAGE)
     try:
         poly = parse_poly(args.poly, args.arity)
     except ParseError as exc:

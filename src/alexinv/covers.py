@@ -17,7 +17,8 @@ from . import presentation as pres
 from .alexander import alexander_polynomial, fox_alexander_matrix
 from .cyclotomic import CyclotomicField, bareiss_rank
 from .laurent import is_prime, root_of_unity_norm
-from .presentation import Presentation, abelianize, mod_p_rank, reduce_word
+from .presentation import (AbelianizationData, Presentation, abelianize,
+                           mod_p_rank, reduce_word, smith_invariants)
 
 DEFAULT_MAX_INDEX = 256
 
@@ -260,8 +261,20 @@ def reidemeister_schreier(cm, max_index=DEFAULT_MAX_INDEX):
 
 
 def cover_homology(cp):
-    """H_1 of the covering space, via the kernel presentation."""
-    return abelianize(cp.presentation)
+    """H_1 of the covering space, via the kernel presentation: rank and
+    torsion from :func:`~alexinv.presentation.smith_invariants` of its
+    exponent sums, one sparse row per relator.  The cover's generator
+    images are not computed (``gen_images`` is empty)."""
+    P = cp.presentation
+    rows = []
+    for rel in P.relators:
+        row = {}
+        for g, s in rel:
+            row[g] = row.get(g, 0) + s
+        rows.append(row)
+    factors = smith_invariants(rows)
+    return AbelianizationData(P.num_generators - len(factors),
+                              tuple(d for d in factors if d > 1), ())
 
 
 # ----------------------------------------------------------------------

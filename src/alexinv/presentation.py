@@ -3,7 +3,9 @@
 A word is a tuple of (generator index, sign) letters, kept freely reduced.
 From a presentation this module computes the abelianization via an exact
 integer Smith normal form, the induced map onto the free part of H_1,
-and Fox derivatives of relators, which feed the Alexander matrix.
+and Fox derivatives of relators, which feed the Alexander matrix.  When
+only the invariant factors are needed, sparse elimination of unit pivots
+finds them without a transform.
 
 The text format is ``<x, y | x*y*X*Y, ...>``: lowercase names declare
 generators, an uppercase letter is the inverse of the corresponding
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import chain
 
 from .laurent import MAX_EXPONENT, LaurentPoly, ParseError
@@ -358,6 +361,83 @@ def smith_normal_form(A):
 
     return SmithDecomposition(tuple(R[i][i] for i in range(min(m, n))),
                               tuple(tuple(row[n:]) for row in R))
+
+
+def smith_invariants(A):
+    """Nonzero invariant factors of an integer matrix (any shape, may be
+    empty), in divisibility order: ``smith_normal_form(A).invariant_factors``
+    with no transform built.  A row is a sequence of integers or a dict
+    {column: entry}, which may leave out zero entries.
+
+    The rows are held sparse, with the set of rows holding each column.
+    Each step takes an entry +-1 of least Markowitz cost (row nonzeros - 1)
+    * (column nonzeros - 1), clears its column with row operations and
+    drops its row and column.  The unit entries wait in a heap keyed by
+    cost; an entry is queued again whenever its row or column changes
+    length, and a popped entry whose cost is out of date is skipped.  A
+    unit pivot splits the matrix as 1 (+) A' under unimodular operations,
+    so k pivots give k factors 1, and the dense Smith form of what remains
+    gives the rest; invariant factors are unique, so the pivot order
+    cannot change them (Havas-Majewski, "Integer matrix diagonalization",
+    1997).
+    """
+    rows = {}
+    cols = {}  # column -> indices of the rows holding it
+    for i, row in enumerate(A):
+        pairs = row.items() if isinstance(row, dict) else enumerate(row)
+        entries = {j: int(x) for j, x in pairs if x}
+        if entries:
+            rows[i] = entries
+            for j in entries:
+                cols.setdefault(j, set()).add(i)
+    heap = []  # (cost, row, column)
+
+    def queue(i, columns):
+        row = rows[i]
+        for j in columns:
+            if row[j] == 1 or row[j] == -1:
+                heappush(heap, ((len(row) - 1) * (len(cols[j]) - 1), i, j))
+
+    for i, row in rows.items():
+        queue(i, row)
+    k = 0
+    while heap:
+        cost, i, j = heappop(heap)
+        row = rows.get(i)
+        if row is None or row.get(j) not in (1, -1) or \
+                cost != (len(row) - 1) * (len(cols[j]) - 1):
+            continue  # cleared, or its row or column changed since
+        pivot = rows.pop(i)
+        for c in pivot:
+            cols[c].discard(i)
+        s = pivot.pop(j)
+        changed = cols.pop(j)
+        for r in changed:
+            # row_r -= (a * s) * pivot clears (r, j), since s * s = 1
+            row = rows[r]
+            f = row.pop(j) * s
+            for c, x in pivot.items():
+                y = row.get(c, 0) - f * x
+                if y:
+                    if c not in row:
+                        cols[c].add(r)
+                    row[c] = y
+                else:
+                    del row[c]
+                    cols[c].discard(r)
+            if row:
+                queue(r, row)
+            else:
+                del rows[r]
+        # the pivot row's columns changed length: requeue their entries
+        for c in pivot:
+            for r in cols[c] - changed:
+                queue(r, (c,))
+        k += 1
+    live = [c for c, held in cols.items() if held]
+    rest = [[row.get(c, 0) for c in live] for row in rows.values()]
+    tail = smith_normal_form(rest).invariant_factors if rest else ()
+    return (1,) * k + tail
 
 
 # ----------------------------------------------------------------------

@@ -109,6 +109,14 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "0")
         assert code == 1
 
+    @pytest.mark.parametrize("arity", ["0", "-2"])
+    def test_bad_arity(self, capsys, arity):
+        # exit 2 with one error line, not a ValueError from LaurentPoly
+        code, out, err = run(capsys, "classify", "1", "--arity", arity)
+        assert code == 2 and not out
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_multivariate(self, capsys):
         code, out, _ = run(capsys, "classify", "t1*t2 + 1", "--arity", "2")
         assert code == 0

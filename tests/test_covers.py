@@ -17,7 +17,7 @@ from alexinv.cyclotomic import (CyclotomicField, bareiss_rank,
                                 cyclotomic_polynomial)
 from alexinv.laurent import LaurentPoly, parse_poly
 from alexinv.presentation import abelianize, parse_presentation
-from alexinv.verify import random_matrix
+from alexinv.verify import _cover_prime_tuples, random_matrix
 from conftest import int_det, mat_pow
 
 T3 = parse_presentation("<x,y,z | [x,y], [x,z], [y,z]>")
@@ -264,6 +264,35 @@ class TestReidemeisterSchreier:
             dp_direct = mod_p_betti(cp.presentation, p)
             dp_from_h1 = hom.rank + sum(1 for d in hom.torsion if d % p == 0)
             assert dp_direct == dp_from_h1
+
+
+class TestCoverHomology:
+    """cover_homology's sparse Smith invariants against abelianize, the
+    dense Smith form with its row transform."""
+
+    @staticmethod
+    def check(P, primes):
+        cp = reidemeister_schreier(free_abelian_cover(P, primes))
+        hom, ab = cover_homology(cp), abelianize(cp.presentation)
+        assert (hom.rank, hom.torsion) == (ab.rank, ab.torsion)
+        assert hom.gen_images == ()
+
+    def test_hironaka_covers(self):
+        count = 0
+        for entry in entries():
+            rank = abelianize(entry.presentation).rank
+            for primes in _cover_prime_tuples(rank, 256):
+                self.check(entry.presentation, primes)
+                count += 1
+        assert count >= 50
+
+    @pytest.mark.parametrize("name, primes", [
+        ("mapping-torus-A", (31,)), ("mapping-torus-A", (61,)),
+        ("mapping-torus-fib", (31,)), ("mapping-torus-fib", (61,)),
+        ("t3", (3, 3, 3)), ("t3", (5, 5, 5)),
+        ("heisenberg", (7, 7)), ("heisenberg", (11, 11))])
+    def test_large_covers(self, name, primes):
+        self.check(get(name).presentation, primes)
 
 
 class TestTorsionCoverFormula:

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from alexinv import corpus
+from alexinv import corpus, presentation
 from alexinv.laurent import LaurentPoly, ParseError, parse_poly
 from alexinv.presentation import (FreeGroupRingElement, Presentation,
                                   abelianize, concat, fox_derivative,
                                   fox_matrix, inverse_word, mod_p_rank,
                                   parse_presentation, reduce_word,
-                                  smith_normal_form, word_power)
+                                  smith_invariants, smith_normal_form,
+                                  word_power)
 from conftest import int_det, smith_factors_oracle
 
 
@@ -144,6 +145,54 @@ class TestSmith:
                 assert all(x % d == 0 if d else x == 0 for x in row)
             for a, b in zip(diag, diag[1:]):
                 assert a >= 0 and (b % a == 0 if a else b == 0)
+
+
+class TestSmithInvariants:
+    def test_small_cases(self):
+        assert smith_invariants([]) == ()
+        assert smith_invariants([[], []]) == ()
+        assert smith_invariants([[0, 0], [0, 0]]) == ()
+        assert smith_invariants([[2, 0], [0, 3]]) == (1, 6)
+        assert smith_invariants([[1, 2], [3, 4]]) == (1, 2)
+        # dict rows: columns by key, zero entries allowed
+        assert smith_invariants([{5: 2, 9: 0}, {9: 3}, {}]) == (1, 6)
+
+    def test_random_matches_dense_smith(self, monkeypatch):
+        """Sparse unit elimination against the dense Smith form, which
+        stays the reference; the remainder handed to the dense form is
+        recorded to count the cases that pivot and leave something."""
+        remainders = []
+
+        def spy(A):
+            snf = smith_normal_form(A)
+            remainders.append(snf.invariant_factors)
+            return snf
+        monkeypatch.setattr(presentation, "smith_normal_form", spy)
+        rng = random.Random(5)
+        seen = {"pivots and remainder": 0, "factor > 1": 0,
+                "nonzero, no unit entry": 0, "zero row or column": 0}
+        for _ in range(1200):
+            m, n = rng.randint(0, 12), rng.randint(0, 12)
+            density = rng.random()
+            pool = rng.choice(((1, -1, 2, -2, 3, -5, 7), (2, -2, 3, -5, 7)))
+            A = [[rng.choice(pool) if rng.random() < density else 0
+                  for _ in range(n)] for _ in range(m)]
+            remainders.clear()
+            got = smith_invariants(A)
+            assert got == smith_normal_form(A).invariant_factors
+            assert smith_invariants([{j: x for j, x in enumerate(row) if x}
+                                     for row in A]) == got
+            entries = [x for row in A for x in row]
+            if remainders and len(got) > len(remainders[0]):
+                seen["pivots and remainder"] += 1
+            if any(d > 1 for d in got):
+                seen["factor > 1"] += 1
+            if any(entries) and not any(abs(x) == 1 for x in entries):
+                seen["nonzero, no unit entry"] += 1
+            if any(not any(row) for row in A) or \
+                    any(not any(col) for col in zip(*A)):
+                seen["zero row or column"] += 1
+        assert min(seen.values()) >= 50, seen
 
 
 class TestAbelianize:
