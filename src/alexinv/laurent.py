@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from operator import add
 from types import MappingProxyType
 
 
@@ -161,10 +162,11 @@ class LaurentPoly:
         if other is NotImplemented:
             return NotImplemented
         terms = {}
+        get = terms.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                terms[e] = get(e, 0) + c1 * c2
         return LaurentPoly(self.arity, terms)
 
     __rmul__ = __mul__
@@ -407,6 +409,97 @@ def _dict_div_exact(f, g):
     return q
 
 
+# Kronecker packing.  With per-variable bounds dims, exponent vectors in the
+# box below dims map one-to-one to slot indices, and _pack evaluates a
+# polynomial at x_i = 2^(width * stride_i).  That evaluation is a ring
+# homomorphism, so g | f forces pack(g) | pack(f).  When every coefficient
+# is below 2^(width-1) in absolute value the slots are a balanced base
+# 2^width expansion, which is unique, so equal packed values mean equal
+# polynomials.
+
+# Packed size in bits above which _dict_quotient does long division instead.
+PACK_MAX_BITS = 1 << 24
+
+
+def _pack(f, strides, nslots, width):
+    """sum of c * 2^(width * index(e)); width is a multiple of 8."""
+    nb = width // 8
+    pos, neg = bytearray(nslots * nb), bytearray(nslots * nb)
+    for e, c in f.items():
+        i = nb * sum(x * s for x, s in zip(e, strides))
+        if c > 0:
+            pos[i:i + nb] = c.to_bytes(nb, "little")
+        else:
+            neg[i:i + nb] = (-c).to_bytes(nb, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack(v, dims, nslots, width):
+    """The polynomial whose balanced slots make v, or None if v needs more
+    than nslots slots.  Slots are read by byte slicing."""
+    nb = width // 8
+    zero = bytes(nb - 1) + b"\x80"  # 2^(width-1): a zero slot after the offset
+    v += int.from_bytes(zero * nslots, "little")
+    if v < 0 or v.bit_length() > nslots * width:
+        return None
+    raw = v.to_bytes(nslots * nb, "little")
+    half = 1 << (width - 1)
+    out = {}
+    for i in range(nslots):
+        chunk = raw[i * nb:(i + 1) * nb]
+        if chunk != zero:
+            e, rest = [], i
+            for d in dims:
+                rest, x = divmod(rest, d)
+                e.append(x)
+            out[tuple(e)] = int.from_bytes(chunk, "little") - half
+    return out
+
+
+def _degrees(f):
+    return [max(col) for col in zip(*f)]
+
+
+def _dict_quotient(f, g):
+    """Exact quotient f/g in Z[x1..xn] (dicts, exponents >= 0), else None.
+
+    The candidate q comes from one division of packed integers, slot
+    bases taken from f's degrees; a nonzero remainder disproves g | f.  q is
+    accepted only if packed g*q equals packed f at a slot width above
+    bits(|g|_1 * |q|_inf), which holds every coefficient of g*q.  When the
+    slots are too narrow for that (q outgrew them), or f is too large to
+    pack, long division decides."""
+    if not g:
+        return None
+    if not f:
+        return {}
+    fdeg, gdeg = _degrees(f), _degrees(g)
+    if any(b > a for a, b in zip(fdeg, gdeg)):
+        return None
+    dims = [d + 1 for d in fdeg]
+    strides, nslots = [], 1
+    for d in dims:
+        strides.append(nslots)
+        nslots *= d
+    g1 = sum(abs(c) for c in g.values())
+    height = max(abs(c) for c in f.values())
+    # whole bytes per slot, room for f's coefficients and a sign bit
+    width = 8 * -(-(height.bit_length() + g1.bit_length() + 2) // 8)
+    if width * nslots > PACK_MAX_BITS:
+        return _dict_div_exact(f, g)
+    qp, r = divmod(_pack(f, strides, nslots, width),
+                   _pack(g, strides, nslots, width))
+    if r:
+        return None
+    q = _unpack(qp, dims, nslots, width)
+    # g*q packs to f at width; that proves g*q == f when g*q stays inside
+    # the box and its coefficients, at most |g|_1 * |q|_inf, fit the slots
+    if (q and all(a + b <= c for a, b, c in zip(_degrees(q), gdeg, fdeg))
+            and (g1 * max(abs(c) for c in q.values())).bit_length() < width):
+        return q
+    return _dict_div_exact(f, g)
+
+
 def divide_exact(f, g):
     """Exact quotient f/g in the Laurent ring, or None if g does not divide f."""
     if f.arity != g.arity:
@@ -415,9 +508,11 @@ def divide_exact(f, g):
         return None
     if f.is_zero():
         return LaurentPoly.zero(f.arity)
+    if g.is_unit():
+        return f * g ** -1
     flo, _ = f.exponent_range()
     glo, _ = g.exponent_range()
-    q = _dict_div_exact(_monic_shift(f), _monic_shift(g))
+    q = _dict_quotient(_monic_shift(f), _monic_shift(g))
     if q is None:
         return None
     shift = tuple(a - b for a, b in zip(flo, glo))
@@ -433,6 +528,15 @@ def _main_coeff(f, n, k):
     return {e[:n - 1] + (0,) + e[n:]: c for e, c in f.items() if e[n - 1] == k}
 
 
+def _main_coeffs(f, n):
+    """Every x_n-coefficient of f by degree, as _main_coeff gives it, in one
+    pass over the terms."""
+    out = {}
+    for e, c in f.items():
+        out.setdefault(e[n - 1], {})[e[:n - 1] + (0,) + e[n:]] = c
+    return out
+
+
 def _attach_main(coeff, n, k):
     return {e[:n - 1] + (k,) + e[n:]: c for e, c in coeff.items()}
 
@@ -440,17 +544,16 @@ def _attach_main(coeff, n, k):
 def _content_and_primitive(f, n):
     """Content (gcd of x_n-coefficients, a poly in the other variables)
     and primitive part of f viewed in R[x_n], R = Z[x1..x_{n-1}]."""
-    ambient = len(next(iter(f)))
-    degs = sorted({e[n - 1] for e in f})
+    one = {(0,) * len(next(iter(f))): 1}
+    coeffs = _main_coeffs(f, n)
     cont = {}
-    for k in degs:
-        cont = _dict_gcd(cont, _main_coeff(f, n, k), n - 1)
-        if cont == {(0,) * ambient: 1}:
-            break
+    for k in sorted(coeffs):
+        cont = _dict_gcd(cont, coeffs[k], n - 1)
+        if cont == one:
+            return cont, dict(f)
     prim = {}
-    for k in degs:
-        q = _dict_div_exact(_main_coeff(f, n, k), cont)
-        prim.update(_attach_main(q, n, k))
+    for k, coeff in coeffs.items():
+        prim.update(_attach_main(_dict_div_exact(coeff, cont), n, k))
     return cont, prim
 
 
@@ -503,11 +606,100 @@ def _dict_gcd(f, g, n):
     return _dict_mul(cont, _content_and_primitive(pf, n)[1])
 
 
+# Heuristic GCD (Char, Geddes and Gonnet, J. Symb. Comput. 1989; Geddes,
+# Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 7).  Values
+# of xi tried before giving up, and the cap on bits(xi) * degree:
+HEU_TRIES = 6
+HEU_MAX_BITS = 1 << 20
+
+
+def _evaluate(f, n, xi):
+    """f at x_n = xi, by Horner's rule on each x_n-coefficient."""
+    groups = {}
+    for e, c in f.items():
+        groups.setdefault(e[:n - 1] + (0,) + e[n:], []).append((e[n - 1], c))
+    out = {}
+    for rest, terms in groups.items():
+        terms.sort(reverse=True)
+        value, top = 0, terms[0][0]
+        for k, c in terms:
+            gap = top - k
+            value = value * (xi if gap == 1 else xi ** gap) + c
+            top = k
+        value *= xi ** top
+        if value:
+            out[rest] = value
+    return out
+
+
+def _xi_adic(gamma, n, xi):
+    """The polynomial in x_n whose x_n^i-coefficient holds digit i of the
+    symmetric base-xi expansion (digits in (-xi/2, xi/2]) of each
+    coefficient of gamma."""
+    half = xi // 2
+    out = {}
+    for e, c in gamma.items():
+        i = 0
+        while c:
+            c, d = divmod(c, xi)
+            if d > half:
+                d -= xi
+                c += 1
+            if d:
+                out[e[:n - 1] + (i,) + e[n:]] = d
+            i += 1
+    return out
+
+
+def _heu_gcd(f, g, n):
+    """GCD in Z[x1..xn] (dicts as for _dict_gcd), integer content included,
+    or None when the heuristic gives up."""
+    if not f or not g:
+        return dict(f or g)
+    cf, cg = math.gcd(*f.values()), math.gcd(*g.values())
+    content = math.gcd(cf, cg)
+    G = _heu_primitive({e: c // cf for e, c in f.items()},
+                       {e: c // cg for e, c in g.items()}, n)
+    return None if G is None else {e: c * content for e, c in G.items()}
+
+
+def _heu_primitive(f, g, n):
+    """GCD of nonzero f and g with integer content 1, or None.
+
+    Each try evaluates x_n at xi, takes the GCD of the images by
+    _heu_gcd, rebuilds a candidate from its xi-adic digits and keeps the
+    primitive part G.  With xi > 2 * min(height f, height g) + 1, a G that
+    divides f and g is their GCD."""
+    zero = (0,) * len(next(iter(f)))
+    if n == 0 or len(f) == 1 and zero in f or len(g) == 1 and zero in g:
+        return {zero: 1}
+    degree = max(_main_degree(f, n), _main_degree(g, n))
+    if degree == 0:
+        return _heu_primitive(f, g, n - 1)
+    xi = 2 * min(max(abs(c) for c in f.values()),
+                 max(abs(c) for c in g.values())) + 2
+    for _ in range(HEU_TRIES):
+        if xi.bit_length() * degree > HEU_MAX_BITS:
+            return None
+        gamma = _heu_gcd(_evaluate(f, n, xi), _evaluate(g, n, xi), n - 1)
+        if gamma is not None:
+            G = _xi_adic(gamma, n, xi)
+            cG = math.gcd(*G.values())
+            G = {e: c // cG for e, c in G.items()}
+            if (_dict_quotient(f, G) is not None
+                    and _dict_quotient(g, G) is not None):
+                return G
+        xi = xi * 73794 // 27011
+    return None
+
+
 def gcd(f, g):
     """A greatest common divisor in the Laurent ring, returned normalized.
 
     gcd(f, 0) == normalize(f) and gcd(0, 0) == 0.  Well defined up to units
     because the ring is a UFD; the normalized representative is returned.
+    The heuristic GCD runs first; the primitive PRS takes over when it
+    gives up.
     """
     if f.arity != g.arity:
         raise ValueError("arity mismatch")
@@ -516,7 +708,10 @@ def gcd(f, g):
     if g.is_zero():
         return normalize(f)
     n = f.arity
-    d = _dict_gcd(_monic_shift(f), _monic_shift(g), n)
+    a, b = _monic_shift(f), _monic_shift(g)
+    d = _heu_gcd(a, b, n)
+    if d is None:
+        d = _dict_gcd(a, b, n)
     return normalize(LaurentPoly(n, d))
 
 

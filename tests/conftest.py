@@ -2,13 +2,19 @@
 
 These deliberately avoid the code paths they are used to check: integer
 determinants come from Bareiss elimination on plain int lists, Smith
-invariant factors from gcd-of-minors ratios, and unit symmetry of
-one-variable polynomials from a palindrome test on dense coefficient
-lists.
+invariant factors from gcd-of-minors ratios, Laurent determinants from
+cofactor expansion, and unit symmetry of one-variable polynomials from a
+palindrome test on dense coefficient lists.
 """
 
+from contextlib import contextmanager
 from itertools import combinations
 from math import gcd as int_gcd
+
+import pytest
+
+import alexinv.laurent
+from alexinv.laurent import LaurentPoly
 
 
 def int_det(A):
@@ -106,3 +112,45 @@ def palindrome_unit_symmetric(f):
 def palindrome_mod_unit_symmetric(f):
     c = dense_coeffs(f)
     return c == c[::-1] or c == [-x for x in c[::-1]]
+
+
+def cofactor_det(rows, arity):
+    """Determinant of a Laurent matrix by cofactor expansion along the row
+    with the most zero entries."""
+    n = len(rows)
+    if n == 0:
+        return LaurentPoly.one(arity)
+    if n == 1:
+        return rows[0][0]
+    best = max(range(n), key=lambda i: sum(e.is_zero() for e in rows[i]))
+    total = LaurentPoly.zero(arity)
+    rest = [rows[i] for i in range(n) if i != best]
+    for j, entry in enumerate(rows[best]):
+        if entry.is_zero():
+            continue
+        sub = [[row[k] for k in range(n) if k != j] for row in rest]
+        cofactor = cofactor_det(sub, arity)
+        if (best + j) % 2:
+            cofactor = -cofactor
+        total = total + entry * cofactor
+    return total
+
+
+@contextmanager
+def prs_fallbacks():
+    """Counts, in a one-item list, the calls the heuristic GCD hands to
+    the PRS (its own recursive calls not included)."""
+    prs = alexinv.laurent._dict_gcd
+    count, depth = [0], [0]
+
+    def counting(*args):
+        count[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return prs(*args)
+        finally:
+            depth[0] -= 1
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(alexinv.laurent, "_dict_gcd", counting)
+        yield count

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -16,7 +17,7 @@ from alexinv.presentation import (Presentation, abelianize, inverse_word,
                                   parse_presentation)
 from alexinv.verify import (random_matrix, random_symmetric_nonzero_trace,
                             random_unit_symmetric_nonzero_trace)
-from conftest import palindrome_unit_symmetric
+from conftest import cofactor_det, palindrome_unit_symmetric
 
 t = LaurentPoly.variable(0, 1)
 
@@ -43,6 +44,30 @@ class TestMinors:
         zero = LaurentPoly.zero(1)
         rows = [[t - 1, zero], [zero, t + 1]]
         assert det(rows, 1) == t ** 2 - 1
+
+    def test_det_matches_cofactor_expansion(self):
+        rng = random.Random(41)
+        zero_pivots = singular = 0
+        for _ in range(120):
+            n = rng.randint(1, 5)
+            arity = rng.randint(1, 2)
+            rows = [list(r) for r in random_matrix(rng, n, n, arity).rows]
+            i, j = rng.randrange(n), rng.randrange(n)
+            if rng.random() < 0.3:
+                rows[0][0] = LaurentPoly.zero(arity)
+            elif rng.random() < 0.3 and i != j:
+                unit = LaurentPoly.variable(0, arity) ** rng.choice((-1, 1))
+                rows[i] = [unit * e for e in rows[j]]
+            want = cofactor_det(rows, arity)
+            zero_pivots += rows[0][0].is_zero()
+            singular += want.is_zero()
+            assert det(rows, arity) == want
+        assert zero_pivots >= 20 and singular >= 10
+
+    def test_det_swaps_rows_on_zero_pivot(self):
+        zero, one = LaurentPoly.zero(1), LaurentPoly.one(1)
+        assert det([[zero, one], [t, zero]], 1) == -t
+        assert det([[zero, t], [zero, one]], 1).is_zero()
 
     def test_budget(self, monkeypatch):
         monkeypatch.setattr(alexinv.alexander, "MAX_MINORS", 4)
@@ -351,3 +376,38 @@ class TestFullReport:
     def test_fox_matrix_shapes(self):
         A = fox_alexander_matrix(parse_presentation("<x | >"))
         assert (A.nrows, A.ncols, A.arity) == (0, 1, 1)
+
+
+def no_unit_presentation(n, seed=0):
+    """n generators and n - 1 relators, each a product of all n squares
+    x_i^{+-2} in a seeded order: no Fox entry is a unit, so unit_reduce
+    clears nothing and the minors are n of size n - 1."""
+    rng = random.Random(seed)
+    relators = []
+    for _ in range(n - 1):
+        order = list(range(n))
+        rng.shuffle(order)
+        relators.append(tuple(
+            letter for i in order
+            for letter in [(i, rng.choice((1, -1)))] * 2))
+    return Presentation(tuple("x%d" % i for i in range(n)), relators)
+
+
+class TestNoUnitPresentations:
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_bareiss_matches_cofactor_path(self, monkeypatch, n):
+        P = no_unit_presentation(n)
+        A = fox_alexander_matrix(P)
+        assert unit_reduce(A)[1] == 0
+        fast = alexander_polynomial(P).poly
+        monkeypatch.setattr(alexinv.alexander, "det", cofactor_det)
+        assert alexander_polynomial(P).poly == fast
+        assert not fast.is_zero()
+
+    def test_ten_generators(self):
+        # cofactor expansion takes minutes on this presentation
+        P = no_unit_presentation(10)
+        start = time.perf_counter()
+        delta = alexander_polynomial(P).poly
+        assert time.perf_counter() - start < 5
+        assert delta.arity == 1 and len(delta.terms) > 1

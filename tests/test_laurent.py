@@ -1,14 +1,18 @@
 import doctest
+import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import alexinv.laurent
 from alexinv.laurent import (LaurentPoly, MonomialUnit, ParseError, Symmetry,
                              classify_symmetry, divide_exact, format_poly,
                              gcd, gcd_list, involution, normalize, parse_poly,
                              root_of_unity_norm, trace, unit_quotient)
-from conftest import int_det, mat_pow
+from conftest import int_det, mat_pow, prs_fallbacks
 
 t = LaurentPoly.variable(0, 1)
 
@@ -22,6 +26,25 @@ def random_poly(rng, arity=1, span=3, terms=4):
         tuple(rng.randint(-span, span) for _ in range(arity)):
             rng.randint(-4, 4)
         for _ in range(rng.randint(1, terms))})
+
+
+def prs_gcd(f, g):
+    """The primitive PRS alone, normalized as gcd returns it."""
+    L = alexinv.laurent
+    n = f.arity
+    return normalize(LaurentPoly(n, L._dict_gcd(L._monic_shift(f),
+                                                L._monic_shift(g), n)))
+
+
+@st.composite
+def laurent_polys(draw, arity=None, min_terms=0):
+    """Polynomials in 1-3 variables with negative exponents and
+    coefficients."""
+    if arity is None:
+        arity = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-4, 4)] * arity)
+    return LaurentPoly(arity, draw(st.dictionaries(
+        exps, st.integers(-30, 30), min_size=min_terms, max_size=6)))
 
 
 def test_doctests():
@@ -252,6 +275,118 @@ class TestGcd:
         assert checked > 150
 
 
+class TestHeuristicGcd:
+    def test_matches_prs_on_planted_factors(self):
+        rng = random.Random(31)
+        cases, groups = [], Counter()
+        for i in range(480):
+            arity = 1 + i % 3
+            h, f, g = (random_poly(rng, arity=arity, span=2, terms=3)
+                       for _ in range(3))
+            kind = i // 3 % 4
+            if kind == 1:
+                f, g = 6 * f, -4 * g
+            elif kind == 2:
+                g = LaurentPoly.constant(rng.choice((-6, 2, 5, 12)), arity)
+            elif kind == 3:
+                h = LaurentPoly.one(arity)
+            F, G = f * h, g * h
+            if F.is_zero() or G.is_zero():
+                continue
+            want = prs_gcd(F, G)
+            cases.append((F, G, want))
+            groups["planted"] += want.degree_span() > 0
+            groups["coprime"] += want.is_one()
+            groups["contents"] += (math.gcd(*F.terms.values()) > 1
+                                   and math.gcd(*G.terms.values()) > 1)
+            groups["constant"] += len(F.terms) == 1 or len(G.terms) == 1
+            groups["negative lead"] += (F.terms[max(F.terms)] < 0
+                                        or G.terms[max(G.terms)] < 0)
+        with prs_fallbacks() as fallbacks:
+            for F, G, want in cases:
+                assert gcd(F, G) == want
+        assert fallbacks == [0]
+        assert len(cases) >= 400
+        assert min(groups[k] for k in ("planted", "coprime", "contents",
+                                       "constant", "negative lead")) >= 30
+
+    @pytest.mark.parametrize("cap", ["HEU_TRIES", "HEU_MAX_BITS"])
+    def test_forced_fallback_gives_the_prs_answer(self, monkeypatch, cap):
+        rng = random.Random(32)
+        cases = []
+        while len(cases) < 30:
+            arity = rng.randint(1, 3)
+            h, f, g = (random_poly(rng, arity=arity, span=2, terms=3)
+                       for _ in range(3))
+            F, G = f * h, g * h
+            if len(F.terms) > 1 and len(G.terms) > 1:
+                cases.append((F, G, prs_gcd(F, G)))
+        monkeypatch.setattr(alexinv.laurent, cap, 0)
+        with prs_fallbacks() as fallbacks:
+            for F, G, want in cases:
+                assert gcd(F, G) == want
+        assert fallbacks == [len(cases)]
+
+    def test_large_univariate_without_fallback(self):
+        # Delta of <x, y | x^16001 * y^2>: the two Fox minors have degrees
+        # near 32000, where the PRS takes over a minute
+        k = 16001
+        u = LaurentPoly.variable(0, 1)
+        f = LaurentPoly(1, {(2 * i,): 1 for i in range(k)})
+        with prs_fallbacks() as fallbacks:
+            d = gcd(f, 1 + u ** k)
+        assert d.terms == {(i,): (-1) ** i for i in range(k)}
+        assert fallbacks == [0]
+
+
+class TestPackedQuotient:
+    def test_long_division_agrees(self, monkeypatch):
+        rng = random.Random(33)
+        pairs = []
+        for _ in range(60):
+            arity = rng.randint(1, 3)
+            f, g = (random_poly(rng, arity=arity, span=2) for _ in range(2))
+            if not g.is_zero() and not g.is_unit():
+                pairs.append((f * g, g))
+                pairs.append((f * g + 1, g))
+        packed = [divide_exact(a, b) for a, b in pairs]
+        monkeypatch.setattr(alexinv.laurent, "PACK_MAX_BITS", 0)
+        assert [divide_exact(a, b) for a, b in pairs] == packed
+        assert all(q is not None for q in packed[::2])
+        assert packed[1::2] == [None] * (len(pairs) // 2)
+
+    def test_quotient_outgrowing_its_slots(self, monkeypatch):
+        # (1 - t^10)^6 has height 20 and (1 - t)^6 has |g|_1 = 64, so the
+        # slots hold 16 bits; the quotient (1 + t + ... + t^9)^6 has a
+        # coefficient above 2^15, and long division has to give it
+        g = (1 - t) ** 6
+        q = sum((t ** i for i in range(10)), LaurentPoly.zero(1)) ** 6
+        assert max(q.terms.values()) >= 2 ** 15
+        long_division = alexinv.laurent._dict_div_exact
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return long_division(a, b)
+
+        monkeypatch.setattr(alexinv.laurent, "_dict_div_exact", counting)
+        assert divide_exact(g * q, g) == q
+        assert calls == [1]
+        assert divide_exact(g * q + 1, g) is None
+        assert calls == [1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(laurent_polys(n), laurent_polys(n, min_terms=1))))
+def test_divide_exact_properties(pair):
+    f, g = pair
+    assume(not g.is_zero())
+    assert divide_exact(f * g, g) == f
+    if not g.is_unit():
+        assert divide_exact(f * g + 1, g) is None
+
+
 class TestDivideExact:
     def test_non_divisible(self):
         assert divide_exact(t + 1, t - 1) is None
@@ -378,6 +513,12 @@ class TestParsePrint:
             arity = rng.randint(1, 3)
             f = random_poly(rng, arity=arity)
             assert parse_poly(format_poly(f), arity) == f
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(laurent_polys())
+    def test_roundtrip_property(self, f):
+        assert parse_poly(format_poly(f), f.arity) == f
 
     def test_parens_and_powers(self):
         assert parse_poly("(t - 1)^2", 1) == t ** 2 - 2 * t + 1

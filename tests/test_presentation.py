@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alexinv import corpus, presentation
 from alexinv.laurent import LaurentPoly, ParseError, parse_poly
@@ -335,3 +337,18 @@ class TestFoxMatrix:
             P = Presentation(tuple("g%d" % i for i in range(n)), relators)
             ab = abelianize(P)
             assert fox_matrix(P, ab) == self.reference(P, ab)
+
+
+@st.composite
+def presentations(draw):
+    names = draw(st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,3}", fullmatch=True),
+                          min_size=1, max_size=4, unique=True))
+    letter = st.tuples(st.integers(0, len(names) - 1), st.sampled_from((1, -1)))
+    return Presentation(tuple(names), draw(st.lists(
+        st.lists(letter, max_size=6).map(tuple), max_size=4)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(presentations())
+def test_print_parse_roundtrip_property(P):
+    assert parse_presentation(str(P)) == P

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from alexinv import verify
+from alexinv.alexander import full_report
 from alexinv.covers import verify_torsion_cover_formula
-from alexinv.corpus import get
+from alexinv.corpus import get, names
 from alexinv.laurent import involution, trace
-from conftest import palindrome_unit_symmetric
+from conftest import palindrome_unit_symmetric, prs_fallbacks
 
 
 class TestGenerators:
@@ -62,3 +63,27 @@ class TestSuites:
     def test_selected_names(self):
         reports = verify.run_blanchfield(["t3"])
         assert all(r.inputs["name"] == "t3" for r in reports)
+
+
+class TestHeuristicGcdCoverage:
+    """The heuristic GCD settles every GCD of the corpus and the suites
+    without handing one to the PRS."""
+
+    @pytest.mark.parametrize("seed", [2, 5, 6, 8, 10])
+    def test_levine_seeds(self, seed):
+        # the PRS alone took 10 to 181 s on each of these seeds
+        with prs_fallbacks() as fallbacks:
+            reports = verify.run_suite("levine", seed=seed, cases=50,
+                                       max_degree=4)
+        assert [r.status for r in reports] == ["equal"] * 50
+        assert fallbacks == [0]
+
+    def test_corpus_and_default_suites(self):
+        with prs_fallbacks() as fallbacks:
+            for name in names():
+                full_report(get(name).presentation)
+            for theorem in verify.THEOREMS:
+                # the suites at the command line's defaults
+                reports = verify.run_suite(theorem, max_degree=12)
+                assert reports and all(r.ok for r in reports)
+        assert fallbacks == [0]
