@@ -177,40 +177,20 @@ def unit_reduce(A):
     """Clear the unit entries +-t^I of A; returns the block B left and the
     number k of units cleared.
 
-    Each step takes the unit u of least Markowitz cost (row nonzeros - 1) *
-    (column nonzeros - 1), clears its column by subtracting multiples of
-    its row scaled by u^-1, and drops its row and column; zero rows are
-    dropped as well.  Row operations keep every ideal of minors, and the
-    s-minors of diag(u, B) generate the ideal of the (s-1)-minors of B, so for
-    s >= k the s-minors of A and the (s-k)-minors of B generate the same
-    ideal (Fitting ideals under a change of presentation).
+    :func:`~alexinv.presentation._eliminate_units` clears the column of each
+    unit u with multiples of its row scaled by u^-1 and drops its row and
+    column; B keeps the other columns in order, and no zero row.  Row
+    operations keep every ideal of minors, and the s-minors of diag(u, B)
+    generate the ideal of the (s-1)-minors of B, so for s >= k the s-minors
+    of A and the (s-k)-minors of B generate the same ideal (Fitting ideals
+    under a change of presentation).
     """
-    rows = [list(row) for row in A.rows if any(row)]
-    ncols = A.ncols
-    k = 0
-    while True:
-        col_counts = [sum(1 for row in rows if row[j]) for j in range(ncols)]
-        best = None
-        for i, row in enumerate(rows):
-            row_count = sum(1 for e in row if e)
-            for j, e in enumerate(row):
-                if e.is_unit():
-                    cost = (row_count - 1) * (col_counts[j] - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, i, j)
-        if best is None:
-            break
-        _, i, j = best
-        pivot = rows.pop(i)
-        inv = pivot[j] ** -1
-        for r, row in enumerate(rows):
-            if row[j]:
-                f = row[j] * inv
-                rows[r] = [a - f * b if b else a for a, b in zip(row, pivot)]
-        rows = [row[:j] + row[j + 1:] for row in rows if any(row)]
-        ncols -= 1
-        k += 1
-    return AlexanderMatrix.from_rows(rows, A.arity, ncols), k
+    pivots, rest = pres._eliminate_units(A.rows, LaurentPoly.is_unit,
+                                         lambda u: u ** -1)
+    live = sorted(set(range(A.ncols)).difference(pivots))
+    zero = LaurentPoly.zero(A.arity)
+    rows = [[row.get(j, zero) for j in live] for row in rest]
+    return AlexanderMatrix.from_rows(rows, A.arity, len(live)), len(pivots)
 
 
 def alexander_polynomial(P):

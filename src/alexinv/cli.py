@@ -13,7 +13,8 @@ import sys
 from . import corpus, verify
 from .alexander import MinorBudgetError, full_report
 from .covers import CoverIndexError
-from .laurent import ParseError, classify_symmetry, parse_poly, trace
+from .laurent import (MAX_ARITY, ParseError, classify_symmetry, parse_poly,
+                      trace)
 from .presentation import parse_presentation
 
 EXIT_OK = 0
@@ -56,8 +57,9 @@ def cmd_compute(args):
 
 
 def cmd_classify(args):
-    if args.arity < 1:
-        return _fail("--arity must be at least 1", EXIT_USAGE)
+    if not 1 <= args.arity <= MAX_ARITY:
+        return _fail("--arity must be between 1 and %d" % MAX_ARITY,
+                     EXIT_USAGE)
     try:
         poly = parse_poly(args.poly, args.arity)
     except ParseError as exc:
@@ -84,14 +86,22 @@ def cmd_classify(args):
 
 
 def cmd_verify(args):
-    names = args.corpus.split(",") if args.corpus else None
     try:
-        primes = [int(p) for p in args.primes.split(",")] \
-            if args.primes else None
-        reports = verify.run_suite(
-            args.theorem, names=names, primes=primes, seed=args.seed,
-            cases=args.cases, max_index=args.max_index,
-            max_degree=args.max_degree)
+        options = {
+            "names": args.corpus.split(",") if args.corpus else None,
+            "primes": [int(p) for p in args.primes.split(",")]
+            if args.primes else None,
+            "seed": args.seed, "cases": args.cases,
+            "max_index": args.max_index, "max_degree": args.max_degree}
+        unread = ["--corpus" if k == "names" else "--" + k.replace("_", "-")
+                  for k, v in options.items() if v is not None
+                  and k not in verify.SUITES[args.theorem][1]]
+        if unread:
+            raise ValueError("verify %s does not read %s"
+                             % (args.theorem, ", ".join(unread)))
+        if args.max_degree is None:
+            options["max_degree"] = 12  # the suites' own default is 4
+        reports = verify.run_suite(args.theorem, **options)
     except (CoverIndexError, MinorBudgetError) as exc:
         return _fail(str(exc), EXIT_RESOURCE)
     except (KeyError, ValueError) as exc:
@@ -151,11 +161,11 @@ def build_parser():
     p_verify.add_argument("--corpus",
                           help="comma-separated entry names, or 'all'")
     p_verify.add_argument("--primes", help="comma-separated primes")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--cases", type=int, default=50)
-    p_verify.add_argument("--max-index", type=int, default=256,
+    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument("--cases", type=int)
+    p_verify.add_argument("--max-index", type=int,
                           help="largest cover index to build")
-    p_verify.add_argument("--max-degree", type=int, default=12,
+    p_verify.add_argument("--max-degree", type=int,
                           help="degree cap for random polynomials")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -147,10 +147,10 @@ class CoverPresentation:
 
 def mod_p_betti(P, p):
     """First mod-p Betti number: generator count minus the F_p-rank of the
-    relator exponent-sum matrix."""
+    relator exponent sums, one sparse row per relator."""
     if not is_prime(p):
         raise ValueError("%r is not prime" % (p,))
-    return P.num_generators - mod_p_rank(P.exponent_matrix(), p)
+    return P.num_generators - mod_p_rank(P.exponent_rows(), p)
 
 
 def mod_p_cover(P, p):
@@ -266,13 +266,7 @@ def cover_homology(cp):
     exponent sums, one sparse row per relator.  The cover's generator
     images are not computed (``gen_images`` is empty)."""
     P = cp.presentation
-    rows = []
-    for rel in P.relators:
-        row = {}
-        for g, s in rel:
-            row[g] = row.get(g, 0) + s
-        rows.append(row)
-    factors = smith_invariants(rows)
+    factors = smith_invariants(P.exponent_rows())
     return AbelianizationData(P.num_generators - len(factors),
                               tuple(d for d in factors if d > 1), ())
 

@@ -30,6 +30,10 @@ class ParseError(ValueError):
 
 
 MAX_EXPONENT = 10**6
+# Most variables a parsed polynomial may have: every term stores an
+# exponent vector of this length, so a huge arity costs memory before the
+# first character is read.
+MAX_ARITY = 1000
 
 
 class LaurentPoly:

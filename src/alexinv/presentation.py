@@ -94,14 +94,23 @@ class Presentation:
         rels = ", ".join(self.word_str(r) for r in self.relators)
         return "<%s | %s>" % (gens, rels)
 
+    def exponent_rows(self):
+        """One sparse row {generator: exponent sum} per relator (zero sums
+        may stay); the rows of the transpose of :meth:`exponent_matrix`."""
+        rows = []
+        for rel in self.relators:
+            row = {}
+            for g, s in rel:
+                row[g] = row.get(g, 0) + s
+            rows.append(row)
+        return rows
+
     def exponent_matrix(self):
         """num_generators x num_relators matrix of exponent sums; column j
         is the image of relator j in Z^n under abelianization."""
-        mat = [[0] * self.num_relators for _ in range(self.num_generators)]
-        for j, rel in enumerate(self.relators):
-            for g, s in rel:
-                mat[g][j] += s
-        return mat
+        rows = self.exponent_rows()
+        return [[row.get(g, 0) for row in rows]
+                for g in range(self.num_generators)]
 
 
 # ----------------------------------------------------------------------
@@ -363,29 +372,26 @@ def smith_normal_form(A):
                               tuple(tuple(row[n:]) for row in R))
 
 
-def smith_invariants(A):
-    """Nonzero invariant factors of an integer matrix (any shape, may be
-    empty), in divisibility order: ``smith_normal_form(A).invariant_factors``
-    with no transform built.  A row is a sequence of integers or a dict
-    {column: entry}, which may leave out zero entries.
+def _eliminate_units(A, is_unit, inverse, modulus=None):
+    """Sparse elimination of unit pivots; returns the pivot columns, in
+    pivot order, and the rows left over, in their original order, as dicts
+    {column: nonzero entry}.  A row of A is a sequence of ring entries or a
+    dict {column: entry}; with a modulus, entries are integers mod a prime.
 
-    The rows are held sparse, with the set of rows holding each column.
-    Each step takes an entry +-1 of least Markowitz cost (row nonzeros - 1)
-    * (column nonzeros - 1), clears its column with row operations and
-    drops its row and column.  The unit entries wait in a heap keyed by
-    cost; an entry is queued again whenever its row or column changes
-    length, and a popped entry whose cost is out of date is skipped.  A
-    unit pivot splits the matrix as 1 (+) A' under unimodular operations,
-    so k pivots give k factors 1, and the dense Smith form of what remains
-    gives the rest; invariant factors are unique, so the pivot order
-    cannot change them (Havas-Majewski, "Integer matrix diagonalization",
-    1997).
+    Each step takes a unit entry of least Markowitz cost (row nonzeros - 1)
+    * (column nonzeros - 1), ties broken by original row and then column,
+    clears its column with row operations through ``inverse`` and drops
+    its row and column, and any row that became zero.  The units wait in a
+    heap keyed by (cost, row, column); an entry is queued again whenever
+    its row or column changes length, and a stale entry is skipped.
     """
     rows = {}
     cols = {}  # column -> indices of the rows holding it
     for i, row in enumerate(A):
         pairs = row.items() if isinstance(row, dict) else enumerate(row)
-        entries = {j: int(x) for j, x in pairs if x}
+        if modulus is not None:
+            pairs = ((j, x % modulus) for j, x in pairs)
+        entries = {j: x for j, x in pairs if x}
         if entries:
             rows[i] = entries
             for j in entries:
@@ -395,29 +401,31 @@ def smith_invariants(A):
     def queue(i, columns):
         row = rows[i]
         for j in columns:
-            if row[j] == 1 or row[j] == -1:
+            if is_unit(row[j]):
                 heappush(heap, ((len(row) - 1) * (len(cols[j]) - 1), i, j))
 
     for i, row in rows.items():
         queue(i, row)
-    k = 0
+    pivots = []
     while heap:
         cost, i, j = heappop(heap)
         row = rows.get(i)
-        if row is None or row.get(j) not in (1, -1) or \
+        if row is None or j not in row or not is_unit(row[j]) or \
                 cost != (len(row) - 1) * (len(cols[j]) - 1):
             continue  # cleared, or its row or column changed since
         pivot = rows.pop(i)
         for c in pivot:
             cols[c].discard(i)
-        s = pivot.pop(j)
+        inv = inverse(pivot.pop(j))
         changed = cols.pop(j)
         for r in changed:
-            # row_r -= (a * s) * pivot clears (r, j), since s * s = 1
+            # row_r -= (a * inv) * pivot clears (r, j)
             row = rows[r]
-            f = row.pop(j) * s
+            f = row.pop(j) * inv
             for c, x in pivot.items():
                 y = row.get(c, 0) - f * x
+                if modulus is not None:
+                    y %= modulus
                 if y:
                     if c not in row:
                         cols[c].add(r)
@@ -433,11 +441,29 @@ def smith_invariants(A):
         for c in pivot:
             for r in cols[c] - changed:
                 queue(r, (c,))
-        k += 1
-    live = [c for c, held in cols.items() if held]
-    rest = [[row.get(c, 0) for c in live] for row in rows.values()]
-    tail = smith_normal_form(rest).invariant_factors if rest else ()
-    return (1,) * k + tail
+        pivots.append(j)
+    return pivots, list(rows.values())
+
+
+def smith_invariants(A):
+    """Nonzero invariant factors of an integer matrix (any shape, may be
+    empty), in divisibility order: ``smith_normal_form(A).invariant_factors``
+    with no transform built.  A row is a sequence of integers or a dict
+    {column: entry}, which may leave out zero entries.
+
+    :func:`_eliminate_units` clears the entries +-1.  A unit pivot splits
+    the matrix as 1 (+) A' under unimodular operations, so k pivots give k
+    factors 1, and the dense Smith form of what remains gives the rest;
+    invariant factors are unique, so the pivot order cannot change them
+    (Havas-Majewski, "Integer matrix diagonalization", 1997).
+    """
+    # a unit +-1 is its own inverse
+    pivots, rest = _eliminate_units(A, {1, -1}.__contains__, int)
+    live = sorted({c for row in rest for c in row})
+    tail = smith_normal_form([[row.get(c, 0) for c in live]
+                              for row in rest]).invariant_factors \
+        if rest else ()
+    return (1,) * len(pivots) + tail
 
 
 # ----------------------------------------------------------------------
@@ -471,25 +497,10 @@ def abelianize(P):
 
 
 def mod_p_rank(A, p):
-    """Rank over F_p of an integer matrix."""
-    rows = [[x % p for x in row] for row in A]
-    n = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(inv * x) % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    """Rank over F_p of an integer matrix, rows as in
+    :func:`smith_invariants`: every nonzero entry mod p is a unit, so
+    :func:`_eliminate_units` clears the whole matrix."""
+    return len(_eliminate_units(A, bool, lambda s: pow(s, -1, p), p)[0])
 
 
 # ----------------------------------------------------------------------

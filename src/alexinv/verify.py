@@ -21,13 +21,6 @@ from .covers import (DEFAULT_MAX_INDEX, VerifyReport, b1_ge_4_consistency,
 from .laurent import LaurentPoly, Symmetry, involution, normalize, trace
 from .presentation import abelianize
 
-THEOREMS = ("levine", "blanchfield", "b1-one-characterization",
-            "torsion-cover", "shalen-wagreich", "hironaka", "b1-ge-4")
-
-
-def all_ok(reports):
-    return all(r.ok for r in reports)
-
 
 # ----------------------------------------------------------------------
 # Random instance generators.
@@ -267,21 +260,27 @@ def run_b1_ge_4(names=None):
     return reports
 
 
-def run_suite(theorem, names=None, primes=None, seed=0, cases=50,
-              max_index=DEFAULT_MAX_INDEX, max_degree=4):
-    if theorem == "levine":
-        return run_levine(seed, cases, max_degree)
-    if theorem == "blanchfield":
-        return run_blanchfield(names)
-    if theorem == "b1-one-characterization":
-        return run_b1_one_characterization(seed, cases, max_degree)
-    if theorem == "torsion-cover":
-        return run_torsion_cover(names, primes, max_index)
-    if theorem == "shalen-wagreich":
-        return run_shalen_wagreich(names, max_index=max_index)
-    if theorem == "hironaka":
-        return run_hironaka(names, max_index)
-    if theorem == "b1-ge-4":
-        return run_b1_ge_4(names)
-    raise ValueError("unknown theorem %r (one of %s)"
-                     % (theorem, ", ".join(THEOREMS)))
+# each suite's runner and the run_suite keywords it reads
+SUITES = {
+    "levine": (run_levine, ("seed", "cases", "max_degree")),
+    "blanchfield": (run_blanchfield, ("names",)),
+    "b1-one-characterization": (run_b1_one_characterization,
+                                ("seed", "cases", "max_degree")),
+    "torsion-cover": (run_torsion_cover, ("names", "primes", "max_index")),
+    "shalen-wagreich": (run_shalen_wagreich,
+                        ("names", "primes", "max_index")),
+    "hironaka": (run_hironaka, ("names", "max_index")),
+    "b1-ge-4": (run_b1_ge_4, ("names",)),
+}
+THEOREMS = tuple(SUITES)
+
+
+def run_suite(theorem, **options):
+    """Run one suite on the keyword options it reads (see ``SUITES``): it
+    ignores the others, and an option set to None keeps its default."""
+    if theorem not in SUITES:
+        raise ValueError("unknown theorem %r (one of %s)"
+                         % (theorem, ", ".join(THEOREMS)))
+    run, reads = SUITES[theorem]
+    return run(**{k: v for k, v in options.items()
+                  if k in reads and v is not None})

@@ -2,9 +2,11 @@
 
 These deliberately avoid the code paths they are used to check: integer
 determinants come from Bareiss elimination on plain int lists, Smith
-invariant factors from gcd-of-minors ratios, Laurent determinants from
-cofactor expansion, and unit symmetry of one-variable polynomials from a
-palindrome test on dense coefficient lists.
+invariant factors from gcd-of-minors ratios, ranks over F_p from dense
+Gauss-Jordan elimination, Laurent determinants from cofactor expansion,
+unit reduction from a full rescan for each pivot, and unit symmetry of
+one-variable polynomials from a palindrome test on dense coefficient
+lists.
 """
 
 from contextlib import contextmanager
@@ -81,6 +83,29 @@ def smith_factors_oracle(A):
     return tuple(out)
 
 
+def dense_mod_p_rank(A, p):
+    """Rank over F_p of an integer matrix by dense Gauss-Jordan elimination,
+    column by column."""
+    rows = [[x % p for x in row] for row in A]
+    n = len(rows[0]) if rows else 0
+    rank = 0
+    for col in range(n):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [(inv * x) % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
 def random_unimodular(rng, n, steps=12):
     A = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(steps):
@@ -134,6 +159,38 @@ def cofactor_det(rows, arity):
             cofactor = -cofactor
         total = total + entry * cofactor
     return total
+
+
+def rescan_unit_reduce(rows, ncols):
+    """Unit reduction of a Laurent matrix by a full rescan at every step:
+    the unit of least Markowitz cost, first in row order and then in
+    column order, clears its column with multiples of its row and loses
+    its row and column; zero rows are dropped.  Returns the rows left, on
+    the other columns in order, and the number of units cleared."""
+    rows = [list(row) for row in rows if any(row)]
+    k = 0
+    while True:
+        col_counts = [sum(1 for row in rows if row[j]) for j in range(ncols)]
+        best = None
+        for i, row in enumerate(rows):
+            row_count = sum(1 for e in row if e)
+            for j, e in enumerate(row):
+                if e.is_unit():
+                    cost = (row_count - 1) * (col_counts[j] - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+        if best is None:
+            return rows, k
+        _, i, j = best
+        pivot = rows.pop(i)
+        inv = pivot[j] ** -1
+        for r, row in enumerate(rows):
+            if row[j]:
+                f = row[j] * inv
+                rows[r] = [a - f * b if b else a for a, b in zip(row, pivot)]
+        rows = [row[:j] + row[j + 1:] for row in rows if any(row)]
+        ncols -= 1
+        k += 1
 
 
 @contextmanager

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from alexinv.cli import main
+from alexinv.laurent import MAX_ARITY
 
 
 def run(capsys, *argv):
@@ -117,6 +118,12 @@ class TestClassify:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_arity_over_cap(self, capsys):
+        code, out, err = run(capsys, "classify", "1",
+                             "--arity", str(MAX_ARITY + 1))
+        assert code == 2 and not out
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_multivariate(self, capsys):
         code, out, _ = run(capsys, "classify", "t1*t2 + 1", "--arity", "2")
         assert code == 0
@@ -179,6 +186,34 @@ class TestVerify:
     def test_zero_cases_fail(self, capsys, argv):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 1 and "no cases" in err and not out
+
+    def test_shalen_wagreich_reads_primes(self, capsys):
+        code, out, _ = run(capsys, "verify", "shalen-wagreich",
+                           "--corpus", "t3", "--primes", "5")
+        assert code == 0
+        assert [r["inputs"]["p"] for r in json.loads(out)["results"]] == [5]
+        code, out, _ = run(capsys, "verify", "shalen-wagreich",
+                           "--corpus", "t3")
+        assert code == 0
+        assert [r["inputs"]["p"] for r in json.loads(out)["results"]] \
+            == [2, 3]
+
+    @pytest.mark.parametrize("argv", [
+        ("shalen-wagreich", "--seed", "1"),
+        ("hironaka", "--primes", "2"),
+        ("levine", "--primes", "2"),
+        ("levine", "--corpus", "t3"),
+        ("blanchfield", "--primes", "2"),
+        ("blanchfield", "--max-index", "64"),
+        ("b1-one-characterization", "--corpus", "t3"),
+        ("b1-one-characterization", "--primes", "2"),
+        ("b1-ge-4", "--primes", "2"),
+        ("torsion-cover", "--cases", "3")])
+    def test_unread_flag_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and not out
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert argv[1] in err and "Traceback" not in err
 
     def test_hironaka_single_entry(self, capsys):
         code, out, _ = run(capsys, "verify", "hironaka",

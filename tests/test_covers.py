@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
@@ -447,6 +448,14 @@ class TestShalenWagreich:
     def test_resource_limit(self):
         with pytest.raises(CoverIndexError):
             shalen_wagreich_check(T3, 2, max_index=4)
+
+    def test_t3_index_1331(self):
+        # 3993 relators on 2663 cover generators; the time bound fails a
+        # dense F_p elimination, which takes about 15 s on this cover
+        start = time.perf_counter()
+        r = shalen_wagreich_check(T3, 11, max_index=1331)
+        assert time.perf_counter() - start < 3
+        assert (r.lhs, r.rhs, r.status) == (3, 3, "bound_holds")
 
 
 class TestB1Ge4:

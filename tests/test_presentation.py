@@ -12,7 +12,7 @@ from alexinv.presentation import (FreeGroupRingElement, Presentation,
                                   parse_presentation, reduce_word,
                                   smith_invariants, smith_normal_form,
                                   word_power)
-from conftest import int_det, smith_factors_oracle
+from conftest import dense_mod_p_rank, int_det, smith_factors_oracle
 
 
 def random_word(rng, n, max_len):
@@ -254,6 +254,31 @@ class TestModPRank:
         assert mod_p_rank([[2, 2, 0], [1, 0, 0]], 2) == 1
         assert mod_p_rank([[2, 2, 0], [1, 0, 0]], 3) == 2
         assert mod_p_rank([], 5) == 0
+
+    def test_random_matches_dense_oracle(self):
+        """The sparse unit elimination against dense Gauss-Jordan, on
+        list and dict rows; entries include nonzero multiples of p."""
+        rng = random.Random(11)
+        seen = {"rank-deficient": 0, "full rank": 0,
+                "zero row or column": 0, "nonzero entry 0 mod p": 0}
+        for _ in range(1200):
+            m, n = rng.randint(0, 12), rng.randint(0, 12)
+            p = rng.choice((2, 3, 5, 7, 251))
+            density = rng.random()
+            pool = (1, -1, 2, 3, -4, 5, 6, p, -p, 2 * p, p + 1, 1 - p)
+            A = [[rng.choice(pool) if rng.random() < density else 0
+                  for _ in range(n)] for _ in range(m)]
+            rank = dense_mod_p_rank(A, p)
+            assert mod_p_rank(A, p) == rank
+            assert mod_p_rank([{j: x for j, x in enumerate(row) if x}
+                               for row in A], p) == rank
+            seen["rank-deficient" if rank < min(m, n) else "full rank"] += 1
+            if any(not any(row) for row in A) or \
+                    any(not any(col) for col in zip(*A)):
+                seen["zero row or column"] += 1
+            if any(x and x % p == 0 for row in A for x in row):
+                seen["nonzero entry 0 mod p"] += 1
+        assert min(seen.values()) >= 50, seen
 
 
 class TestFoxCalculus:
