@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from math import comb, gcd, lcm, prod
+from math import comb, prod
 
 from . import presentation as pres
 from .alexander import alexander_polynomial, fox_alexander_matrix
-from .cyclotomic import CyclotomicField, bareiss_rank
+from .cyclotomic import (CyclotomicField, bareiss_rank, character_exponent,
+                         character_order, galois_orbits)
 from .laurent import is_prime, root_of_unity_norm
 from .presentation import (AbelianizationData, Presentation, abelianize,
                            mod_p_rank, reduce_word, smith_invariants)
@@ -62,22 +63,10 @@ class DeckGroup:
 
     def character_orbits(self):
         """Galois orbits of the nontrivial characters, each once as
-        (representative, size).
-
-        A character with exponents e has squarefree order m, the lcm of the
-        p_i with e_i != 0, and a in (Z/m)^x sends it to the character with
-        exponents a*e.  Its orbit has phi(m) members, since a*e = e forces
-        a = 1 mod m.
-        """
-        seen = set()
-        for exps in self.elements():
-            if exps in seen or not any(exps):
-                continue
-            m = lcm(*(p for p, e in zip(self.primes, exps) if e))
-            orbit = {tuple(a * e % p for e, p in zip(exps, self.primes))
-                     for a in range(1, m) if gcd(a, m) == 1}
-            seen |= orbit
-            yield Character(exps), len(orbit)
+        (representative, size), from :func:`cyclotomic.galois_orbits`."""
+        for exps, m, size in galois_orbits(self.primes):
+            if m > 1:
+                yield Character(exps), size
 
 
 @dataclass(frozen=True)
@@ -89,10 +78,6 @@ class Character:
 
     def __post_init__(self):
         object.__setattr__(self, "exponents", tuple(self.exponents))
-
-    @property
-    def is_trivial(self):
-        return not any(self.exponents)
 
 
 @dataclass(frozen=True)
@@ -285,16 +270,14 @@ def char_rank(A, chi, deck):
         raise ValueError("matrix arity %d does not match deck dimension %d"
                          % (A.arity, len(deck.primes)))
     exps = chi.exponents
-    orders = [p for p, e in zip(deck.primes, exps) if e % p]
-    m = lcm(*orders) if orders else 1
+    m = character_order(deck.primes, exps)
     fld = CyclotomicField(m)
-    weights = [(m // p) * e for p, e in zip(deck.primes, exps)]
+    k_of = character_exponent(deck.primes, exps, m)
 
     def evaluate(poly):
         acc = fld.zero
         for mono, coeff in poly.terms.items():
-            k = sum(w * x for w, x in zip(weights, mono)) % m
-            acc = fld.add(acc, fld.scale(coeff, fld.root_power(k)))
+            acc = fld.add(acc, fld.scale(coeff, fld.root_power(k_of(mono))))
         return acc
 
     if not A.rows:

@@ -1,47 +1,131 @@
-"""Exact arithmetic in Z[zeta_m] and fraction-free rank computation.
+"""Exact arithmetic in Z[zeta_m], Galois orbits of characters, and
+fraction-free rank computation.
 
 Elements are integer coefficient vectors of length phi(m) against the
 power basis 1, zeta, ..., zeta^(phi(m)-1), reduced modulo the m-th
-cyclotomic polynomial.  Ranks are computed by one-step Bareiss elimination,
-whose divisions are exact in this domain; no floating point anywhere.
+cyclotomic polynomial.  Inverses and norms come from one Euclidean
+algorithm over Q against it.  Ranks are computed by one-step Bareiss
+elimination, whose divisions are exact in this domain; no floating point
+anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product, zip_longest
+from math import gcd, lcm
 
 
-def _poly_divexact(a, b):
-    """Exact quotient of integer coefficient lists (monic-leading b is not
-    required, but the division must come out exact)."""
-    a = list(a)
-    q = [0] * (len(a) - len(b) + 1)
+def _trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _divmod(f, g):
+    """Quotient and trimmed remainder of Fraction lists (low to high) f by
+    the trimmed nonzero g."""
+    r = list(f)
+    q = [Fraction(0)] * (len(f) - len(g) + 1)
     for i in range(len(q) - 1, -1, -1):
-        c = a[i + len(b) - 1]
-        if c % b[-1]:
-            raise ArithmeticError("division not exact")
-        c //= b[-1]
+        c = r[i + len(g) - 1] / g[-1]
         q[i] = c
         if c:
-            for j, y in enumerate(b):
-                a[i + j] -= c * y
-    if any(a):
-        raise ArithmeticError("division not exact")
-    return q
+            for j, y in enumerate(g):
+                r[i + j] -= c * y
+    return q, _trim(r)
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m):
     """Coefficients (low to high) of the m-th cyclotomic polynomial,
-    computed by dividing x^m - 1 by the proper-divisor cyclotomics."""
-    if m == 1:
-        return (-1, 1)
+    computed by dividing x^m - 1 by the proper-divisor cyclotomics; they
+    are monic, so each quotient comes from in-place synthetic division."""
     poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            poly = _poly_divexact(poly, cyclotomic_polynomial(d))
+            phi = cyclotomic_polynomial(d)
+            top = len(phi) - 1
+            for i in range(len(poly) - 1, top - 1, -1):
+                for j in range(top):
+                    poly[i - top + j] -= poly[i] * phi[j]
+            poly = poly[top:]
     return tuple(poly)
+
+
+def character_order(primes, exponents):
+    """Order of the character sending the i-th generator of the sum of the
+    Z/p_i (p_i prime) to rho_i^{e_i}: the lcm of the p_i not dividing e_i."""
+    return lcm(*(p for p, e in zip(primes, exponents) if e % p))
+
+
+def galois_orbits(primes):
+    """Galois orbits of the characters of the sum of the Z/p_i (p_i prime),
+    each once as (exponents, m, size); the trivial one first, with m = 1.
+
+    A character with exponents e has squarefree order m, and a in (Z/m)^x
+    sends it to the character with exponents a*e.  Its orbit has phi(m)
+    members, since a*e = e forces a = 1 mod m.
+    """
+    seen = set()
+    for exps in product(*(range(p) for p in primes)):
+        if exps in seen:
+            continue
+        m = character_order(primes, exps)
+        orbit = {tuple(a * e % p for e, p in zip(exps, primes))
+                 for a in range(1, m + 1) if gcd(a, m) == 1}
+        seen |= orbit
+        yield exps, m, len(orbit)
+
+
+def character_exponent(primes, exponents, m):
+    """The map from a monomial t^I to the k with t^I = zeta_m^k at the
+    character with these exponents and order m: k = sum (m/p_i) e_i I_i
+    mod m."""
+    weights = [(m // p) * (e % p) for p, e in zip(primes, exponents)]
+    return lambda mono: sum(w * x for w, x in zip(weights, mono)) % m
+
+
+def _euclid(m, a, cofactor):
+    """Euclid over Q of Phi_m against the integer vector a (low to high).
+
+    With ``cofactor`` it returns s with s*a = 1 mod Phi_m, for a nonzero mod
+    the irreducible Phi_m.  Otherwise it returns Res(Phi_m, a), built up by
+    Res(F, G) = (-1)^(deg F deg G) * lc(G)^(deg F - deg R) * Res(G, R) for
+    R = F mod G, down to Res(F, c) = c^deg F, or 0 if some R is 0.  Phi_m is
+    monic, so this is the product of a over the primitive m-th roots of 1.
+    """
+    f = [Fraction(c) for c in cyclotomic_polynomial(m)]
+    g = _trim([Fraction(c) for c in a])
+    s0, s1 = [], [Fraction(1)]
+    res = Fraction(1)
+    while len(g) > 1:
+        q, r = _divmod(f, g)
+        if cofactor:
+            qs = [Fraction(0)] * (len(q) + len(s1) - 1)
+            for i, x in enumerate(q):
+                if x:
+                    for j, y in enumerate(s1):
+                        qs[i + j] += x * y
+            s0, s1 = s1, [x - y for x, y in zip_longest(s0, qs, fillvalue=0)]
+        elif r:
+            if (len(f) - 1) * (len(g) - 1) % 2:
+                res = -res
+            res *= g[-1] ** (len(f) - len(r))
+        f, g = g, r
+    if cofactor:
+        return [x / g[0] for x in s1]
+    return res * g[0] ** (len(f) - 1) if g else Fraction(0)
+
+
+def cyclotomic_norm(a, m):
+    """The norm from Q(zeta_m) to Q of sum a_k * zeta_m^k: the integer
+    Res(Phi_m, a) for the integer vector a (low to high)."""
+    res = _euclid(m, a, cofactor=False)
+    if res.denominator != 1:
+        raise ArithmeticError("cyclotomic norm is not an integer")
+    return int(res)
 
 
 class CyclotomicField:
@@ -109,46 +193,12 @@ class CyclotomicField:
         return tuple(out)
 
     def inverse(self, a):
-        """Inverse in Q(zeta_m) as a Fraction vector, by the extended
-        Euclidean algorithm against the cyclotomic polynomial."""
+        """Inverse in Q(zeta_m) as a Fraction vector: the Bezout cofactor of
+        a against the cyclotomic polynomial."""
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.m)]
-        r0, r1 = phi, [Fraction(c) for c in a]
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def trim(p):
-            while p and not p[-1]:
-                p.pop()
-            return p
-
-        r1 = trim(r1)
-        while True:
-            r0, r1 = trim(r0), trim(r1)
-            if len(r1) == 0:
-                raise ArithmeticError("element not invertible")
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                coeffs = [c * inv for c in s1]
-                coeffs += [Fraction(0)] * (self.degree - len(coeffs))
-                return tuple(coeffs[:self.degree])
-            q = [Fraction(0)] * (len(r0) - len(r1) + 1)
-            rem = list(r0)
-            for i in range(len(q) - 1, -1, -1):
-                c = rem[i + len(r1) - 1] / r1[-1]
-                q[i] = c
-                if c:
-                    for j, y in enumerate(r1):
-                        rem[i + j] -= c * y
-            rem = trim(rem)
-            qs1 = [Fraction(0)] * (len(q) + len(s1) - 1)
-            for i, x in enumerate(q):
-                if x:
-                    for j, y in enumerate(s1):
-                        qs1[i + j] += x * y
-            news = [a - b for a, b in
-                    zip(s0 + [Fraction(0)] * (len(qs1) - len(s0)), qs1)]
-            r0, r1, s0, s1 = r1, rem, s1, news
+        coeffs = _euclid(self.m, a, cofactor=True) + [0] * self.degree
+        return tuple(coeffs[:self.degree])
 
     def times_inverse(self, a, inv):
         """a * inv for inv = inverse(b): the exact quotient a / b once b is

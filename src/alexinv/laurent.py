@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
 from operator import add
 from types import MappingProxyType
+
+from .cyclotomic import character_exponent, cyclotomic_norm, galois_orbits
 
 
 class ParseError(ValueError):
@@ -748,67 +749,29 @@ def root_of_unity_norm(f, primes):
     """Exact integer product of f over all tuples of p_i-th roots of unity.
 
     Returns prod f(rho_1^{e_1}, ..., rho_n^{e_n}) over all 0 <= e_i < p_i,
-    with rho_i a primitive p_i-th root of unity.  The product is invariant
-    under every Galois substitution rho_i -> rho_i^k, so it is a rational
-    integer; the computation stays in Z[x_1..x_n]/(x_i^{p_i} - 1) and the
-    final reduction modulo the cyclotomic polynomials must leave a constant,
-    which is asserted.  A zero return value is legitimate (f vanished at
-    some root-of-unity tuple).
+    with rho_i a primitive p_i-th root of unity.  The tuples fall into
+    Galois orbits of characters, and the product over an orbit of order m
+    is the norm from Q(zeta_m) to Q of f at its representative, an integer
+    computed as a resultant against the cyclotomic polynomial.  A zero
+    return value is legitimate (f vanished at some root-of-unity tuple).
     """
     if f.arity != len(primes):
         raise ValueError("need one prime per variable (arity %d, got %d primes)"
                          % (f.arity, len(primes)))
     for p in primes:
-        # the final reduction uses 1 + x + ... + x^(p-1), which is the
-        # cyclotomic polynomial only for prime p
+        # the characters of Z/p have order 1 or p only for prime p
         if not is_prime(p):
             raise ValueError("%r is not prime" % (p,))
-    n = f.arity
-    primes = tuple(primes)
-
-    def mul(a, b):
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple((x + y) % p for x, y, p in zip(e1, e2, primes))
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-        return out
-
-    result = {(0,) * n: 1}
-    for exps in product(*(range(p) for p in primes)):
-        image = {}
-        for mono, coeff in f.terms.items():
-            e = tuple((m * x) % p for m, x, p in zip(mono, exps, primes))
-            v = image.get(e, 0) + coeff
-            if v:
-                image[e] = v
-            elif e in image:
-                del image[e]
-        result = mul(result, image)
-        if not result:
+    norm = 1
+    for exps, m, _ in galois_orbits(primes):
+        k_of = character_exponent(primes, exps, m)
+        a = [0] * m
+        for mono, c in f.terms.items():
+            a[k_of(mono)] += c
+        norm *= cyclotomic_norm(a, m)
+        if not norm:
             return 0
-
-    # Reduce each variable modulo 1 + x + ... + x^(p-1): exponent p-1
-    # rewrites to minus the sum of the lower powers.
-    for i, p in enumerate(primes):
-        reduced = {}
-        for e, c in result.items():
-            if e[i] < p - 1:
-                reduced[e] = reduced.get(e, 0) + c
-            else:
-                for k in range(p - 1):
-                    ek = e[:i] + (k,) + e[i + 1:]
-                    reduced[ek] = reduced.get(ek, 0) - c
-        result = {e: c for e, c in reduced.items() if c}
-    if not result:
-        return 0
-    if set(result) != {(0,) * n}:
-        raise AssertionError("root-of-unity product did not reduce to an integer")
-    return result[(0,) * n]
+    return norm
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ empty word, and ``#`` starts a line comment.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain
@@ -24,6 +25,7 @@ from itertools import chain
 from .laurent import MAX_EXPONENT, LaurentPoly, ParseError
 
 NAME_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789_"
+NAME_RE = re.compile("[a-z][a-z0-9_]*")
 
 
 def reduce_word(word):
@@ -62,8 +64,7 @@ class Presentation:
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
         for name in names:
-            if not name or name[0] not in NAME_CHARS[:26] or \
-                    any(c not in NAME_CHARS for c in name):
+            if not NAME_RE.fullmatch(name):
                 raise ValueError("bad generator name %r" % (name,))
         object.__setattr__(self, "generator_names", tuple(names))
         object.__setattr__(self, "relators",

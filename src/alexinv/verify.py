@@ -191,12 +191,13 @@ def run_torsion_cover(names=None, primes=None, max_index=DEFAULT_MAX_INDEX):
     from H_2 of the covering lattice (the index-4 Heisenberg cover has
     torsion Z/4 while every value of its order polynomial 1 is 1), so
     wider claims are left to explicit --corpus/--primes requests, which
-    are answered honestly.
+    are answered honestly.  Without names, a primes tuple selects the
+    corpus members whose b1 is its length.
     """
     reports = []
     for entry in _selected(names):
         b1 = abelianize(entry.presentation).rank
-        if names is None and primes is None and b1 != 1:
+        if names is None and b1 != (1 if primes is None else len(primes)):
             continue
         if primes is not None:
             prime_tuples = [tuple(primes)]

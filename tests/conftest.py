@@ -4,13 +4,13 @@ These deliberately avoid the code paths they are used to check: integer
 determinants come from Bareiss elimination on plain int lists, Smith
 invariant factors from gcd-of-minors ratios, ranks over F_p from dense
 Gauss-Jordan elimination, Laurent determinants from cofactor expansion,
-unit reduction from a full rescan for each pivot, and unit symmetry of
+unit reduction from a full rescan for each pivot, unit symmetry of
 one-variable polynomials from a palindrome test on dense coefficient
-lists.
+lists, and root-of-unity norms from a product in the group ring.
 """
 
 from contextlib import contextmanager
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd as int_gcd
 
 import pytest
@@ -191,6 +191,57 @@ def rescan_unit_reduce(rows, ncols):
         rows = [row[:j] + row[j + 1:] for row in rows if any(row)]
         ncols -= 1
         k += 1
+
+
+def group_ring_norm(f, primes):
+    """Product of f over all tuples of p_i-th roots of unity (p_i prime),
+    from the product of its |G| images in Z[x_1..x_n]/(x_i^{p_i} - 1),
+    reduced modulo 1 + x_i + ... + x_i^(p_i - 1), which must leave a
+    constant."""
+    n = f.arity
+    primes = tuple(primes)
+
+    def mul(a, b):
+        out = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple((x + y) % p for x, y, p in zip(e1, e2, primes))
+                v = out.get(e, 0) + c1 * c2
+                if v:
+                    out[e] = v
+                elif e in out:
+                    del out[e]
+        return out
+
+    result = {(0,) * n: 1}
+    for exps in product(*(range(p) for p in primes)):
+        image = {}
+        for mono, coeff in f.terms.items():
+            e = tuple((m * x) % p for m, x, p in zip(mono, exps, primes))
+            v = image.get(e, 0) + coeff
+            if v:
+                image[e] = v
+            elif e in image:
+                del image[e]
+        result = mul(result, image)
+        if not result:
+            return 0
+
+    # exponent p-1 rewrites to minus the sum of the lower powers
+    for i, p in enumerate(primes):
+        reduced = {}
+        for e, c in result.items():
+            if e[i] < p - 1:
+                reduced[e] = reduced.get(e, 0) + c
+            else:
+                for k in range(p - 1):
+                    ek = e[:i] + (k,) + e[i + 1:]
+                    reduced[ek] = reduced.get(ek, 0) - c
+        result = {e: c for e, c in reduced.items() if c}
+    if not result:
+        return 0
+    assert set(result) == {(0,) * n}, "group-ring product is not an integer"
+    return result[(0,) * n]
 
 
 @contextmanager

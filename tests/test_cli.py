@@ -139,6 +139,23 @@ class TestVerify:
         result = data["results"][0]
         assert (result["lhs"], result["rhs"]) == (50, 50)
 
+    def test_torsion_cover_primes_select_by_b1(self, capsys):
+        # without --corpus, --primes runs the entries whose b1 is its length
+        code, out, err = run(capsys, "verify", "torsion-cover",
+                             "--primes", "3")
+        assert code == 0 and not err
+        results = json.loads(out)["results"]
+        assert [r["inputs"]["name"] for r in results] == \
+            ["s1xs2", "mapping-torus-A", "mapping-torus-fib"]
+        assert {tuple(r["inputs"]["primes"]) for r in results} == {(3,)}
+
+    def test_torsion_cover_named_b1_mismatch(self, capsys):
+        code, out, err = run(capsys, "verify", "torsion-cover",
+                             "--corpus", "mapping-torus-A,heisenberg",
+                             "--primes", "3")
+        assert code == 2 and not out
+        assert "heisenberg" in err and "mapping-torus-A" not in err
+
     def test_levine_seeded(self, capsys):
         code, out, _ = run(capsys, "verify", "levine",
                            "--seed", "7", "--cases", "10")

@@ -15,7 +15,7 @@ from alexinv.covers import (Character, CoverIndexError, CoverMap, DeckGroup,
                             reidemeister_schreier, shalen_wagreich_check,
                             verify_torsion_cover_formula)
 from alexinv.cyclotomic import (CyclotomicField, bareiss_rank,
-                                cyclotomic_polynomial)
+                                cyclotomic_norm, cyclotomic_polynomial)
 from alexinv.laurent import LaurentPoly, parse_poly
 from alexinv.presentation import abelianize, parse_presentation
 from alexinv.verify import _cover_prime_tuples, random_matrix
@@ -86,6 +86,40 @@ class TestCyclotomic:
                 if found:
                     oracle = k
             assert bareiss_rank(rows, fld) == oracle
+
+
+class TestCyclotomicEuclid:
+    """Inverse and norm share one Euclid against Phi_m; each is checked
+    here against the field's own multiplication."""
+
+    MODULI = (1, 2, 3, 5, 6, 7, 15, 30)
+
+    def test_inverse_and_norm(self):
+        rng = random.Random(21)
+        for m in self.MODULI:
+            fld = CyclotomicField(m)
+            for _ in range(12):
+                # a = sum c_k * zeta^k over all k < m, unreduced
+                coeffs = [0] * m
+                for _ in range(rng.randint(1, 4)):
+                    coeffs[rng.randrange(m)] = rng.randint(-5, 5)
+                a = fld.zero
+                for k, c in enumerate(coeffs):
+                    a = fld.add(a, fld.scale(c, fld.root_power(k)))
+                # columns a * zeta^j in the power basis
+                columns = [fld.mul(a, fld.root_power(j))
+                           for j in range(fld.degree)]
+                norm = int_det([list(row) for row in zip(*columns)])
+                assert cyclotomic_norm(coeffs, m) == norm
+                if not fld.is_zero(a):
+                    assert fld.mul(a, fld.inverse(a)) == fld.one
+
+    def test_norm_of_zero(self):
+        for m in self.MODULI:
+            assert cyclotomic_norm([], m) == 0
+            assert cyclotomic_norm([0] * m, m) == 0
+            with pytest.raises(ZeroDivisionError):
+                CyclotomicField(m).inverse(CyclotomicField(m).zero)
 
 
 class TestDeckAndCoverMap:

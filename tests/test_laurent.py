@@ -12,7 +12,7 @@ from alexinv.laurent import (LaurentPoly, MonomialUnit, ParseError, Symmetry,
                              classify_symmetry, divide_exact, format_poly,
                              gcd, gcd_list, involution, normalize, parse_poly,
                              root_of_unity_norm, trace, unit_quotient)
-from conftest import int_det, mat_pow, prs_fallbacks
+from conftest import group_ring_norm, int_det, mat_pow, prs_fallbacks
 
 t = LaurentPoly.variable(0, 1)
 
@@ -497,6 +497,43 @@ class TestRootOfUnityNorm:
                 res = int_det(sylvester)
                 assert root_of_unity_norm(f, [p]) == \
                     (-1) ** (lo * (p + 1)) * res
+
+
+NORM_PRIME_TUPLES = [(2,), (3,), (5,), (7,), (11,), (13,), (2, 2), (2, 3),
+                     (3, 5), (5, 5), (7, 7), (2, 2, 2), (2, 3, 5), (3, 3, 3),
+                     (5, 5, 5)]
+
+
+class TestRootOfUnityNormDifferential:
+    """The Galois-orbit norm against the product of all |G| images in the
+    group ring (``conftest.group_ring_norm``)."""
+
+    def test_against_group_ring_product(self):
+        rng = random.Random(8)
+        pairs = vanishing = nonzero = 0
+        for primes in NORM_PRIME_TUPLES:
+            n = len(primes)
+            for i in range(45):
+                if i % 9 == 0:
+                    f = LaurentPoly.constant(rng.randint(-4, 4), n)
+                else:
+                    f = random_poly(rng, n, span=2)
+                if i % 9 in (1, 2):
+                    j = rng.randrange(n)
+                    tj = LaurentPoly.variable(j, n)
+                    if i % 9 == 1:
+                        f = f * sum((tj ** k for k in range(1, primes[j])),
+                                    LaurentPoly.one(n))
+                    else:
+                        f = f * (tj - 1)
+                norm = root_of_unity_norm(f, primes)
+                assert norm == group_ring_norm(f, primes), (f, primes)
+                if i % 9 in (1, 2):
+                    assert norm == 0
+                    vanishing += 1
+                pairs += 1
+                nonzero += norm != 0
+        assert pairs >= 600 and vanishing >= 50 and nonzero >= 300
 
 
 class TestParsePrint:

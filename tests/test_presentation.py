@@ -64,6 +64,16 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_presentation("<x, x | >")
 
+    @pytest.mark.parametrize("name", ["", "1x", "X", "xY", "a-b", "\u00e9",
+                                      "x\u00e9", "x\n", "x "])
+    def test_bad_generator_names(self, name):
+        with pytest.raises(ValueError):
+            Presentation(("a", name), ())
+
+    def test_generated_cover_names(self):
+        P = Presentation(("x", "x_0", "b12_345", "z9"), ())
+        assert P.generator_names == ("x", "x_0", "b12_345", "z9")
+
     @pytest.mark.parametrize("text", ["<x | x^2000000>",
                                       "<x | x^600000*x^600000>"])
     def test_word_too_long(self, text):
