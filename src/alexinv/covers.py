@@ -263,8 +263,8 @@ def cover_homology(cp):
 def char_rank(A, chi, deck):
     """Exact rank of the matrix with t_i evaluated at rho_i^{e_i}.
 
-    Arithmetic happens in Q(zeta_m) with m the lcm of the orders appearing
-    in the character, by fraction-free elimination.
+    Arithmetic happens in Z[zeta_m], m the lcm of the character's orders:
+    each entry is summed at the exponents of zeta_m and reduced once.
     """
     if A.arity != len(deck.primes):
         raise ValueError("matrix arity %d does not match deck dimension %d"
@@ -275,10 +275,10 @@ def char_rank(A, chi, deck):
     k_of = character_exponent(deck.primes, exps, m)
 
     def evaluate(poly):
-        acc = fld.zero
+        coeffs = [0] * m
         for mono, coeff in poly.terms.items():
-            acc = fld.add(acc, fld.scale(coeff, fld.root_power(k_of(mono))))
-        return acc
+            coeffs[k_of(mono)] += coeff
+        return fld.reduce(coeffs)
 
     if not A.rows:
         return 0

@@ -1,40 +1,18 @@
-"""Exact arithmetic in Z[zeta_m], Galois orbits of characters, and
-fraction-free rank computation.
+"""Exact arithmetic in Z[zeta_m], in integers only: Galois orbits of
+characters, norms, inverses and fraction-free rank computation.
 
-Elements are integer coefficient vectors of length phi(m) against the
-power basis 1, zeta, ..., zeta^(phi(m)-1), reduced modulo the m-th
-cyclotomic polynomial.  Inverses and norms come from one Euclidean
-algorithm over Q against it.  Ranks are computed by one-step Bareiss
-elimination, whose divisions are exact in this domain; no floating point
-anywhere.
+Elements are integer vectors of length phi(m) in the power basis, reduced
+by one fold from the top against the monic cyclotomic polynomial Phi_m.
+One subresultant sequence over Z against Phi_m gives inverses, as pairs
+(s, c) with s*a = c, and norms, as resultants.  Ranks come from Bareiss
+elimination, whose divisions are exact in Z[zeta_m].
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from itertools import product, zip_longest
+from itertools import product
 from math import gcd, lcm
-
-
-def _trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _divmod(f, g):
-    """Quotient and trimmed remainder of Fraction lists (low to high) f by
-    the trimmed nonzero g."""
-    r = list(f)
-    q = [Fraction(0)] * (len(f) - len(g) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = r[i + len(g) - 1] / g[-1]
-        q[i] = c
-        if c:
-            for j, y in enumerate(g):
-                r[i + j] -= c * y
-    return q, _trim(r)
 
 
 @lru_cache(maxsize=None)
@@ -87,78 +65,115 @@ def character_exponent(primes, exponents, m):
     return lambda mono: sum(w * x for w, x in zip(weights, mono)) % m
 
 
-def _euclid(m, a, cofactor):
-    """Euclid over Q of Phi_m against the integer vector a (low to high).
+def _fold(v, m):
+    """Reduce the integer list v (low to high) modulo Phi_m in place, to
+    length phi(m), clearing the entries above the degree from the top
+    against the monic Phi_m."""
+    phi = cyclotomic_polynomial(m)
+    d = len(phi) - 1
+    for i in range(len(v) - 1, d - 1, -1):
+        if v[i]:
+            for j in range(d):
+                v[i - d + j] -= v[i] * phi[j]
+    del v[d:]
+    v += [0] * (d - len(v))
+    return v
 
-    With ``cofactor`` it returns s with s*a = 1 mod Phi_m, for a nonzero mod
-    the irreducible Phi_m.  Otherwise it returns Res(Phi_m, a), built up by
-    Res(F, G) = (-1)^(deg F deg G) * lc(G)^(deg F - deg R) * Res(G, R) for
-    R = F mod G, down to Res(F, c) = c^deg F, or 0 if some R is 0.  Phi_m is
-    monic, so this is the product of a over the primitive m-th roots of 1.
-    """
-    f = [Fraction(c) for c in cyclotomic_polynomial(m)]
-    g = _trim([Fraction(c) for c in a])
-    s0, s1 = [], [Fraction(1)]
-    res = Fraction(1)
-    while len(g) > 1:
-        q, r = _divmod(f, g)
+
+def _prem(f, g):
+    """(r, q) with lc(g)^(delta+1) f = q g + r, delta = deg f - deg g >= 0,
+    for integer lists (low to high) and deg g >= 1.  Step k scales only its
+    window f[k : k + deg g + 1] by lc(g), after the entering entry catches
+    up on the scalings it missed; for lc(g) = +-1 it divides exactly."""
+    n, lc, delta = len(g) - 1, g[-1], len(f) - len(g)
+    r, q = list(f), [0] * (delta + 1)
+    if lc in (1, -1):
+        for k in range(delta, -1, -1):
+            c = q[k] = r[k + n] * lc
+            if c:
+                for j in range(n):
+                    r[k + j] -= c * g[j]
+        sign = lc ** (delta + 1)
+        return [sign * x for x in r[:n]], [sign * x for x in q]
+    powers = [lc ** e for e in range(delta + 1)]
+    for k in range(delta, -1, -1):
+        r[k] *= powers[delta - k]
+        c = r[k + n]
+        q[k] = c * powers[k]
+        for j in range(n):
+            r[k + j] = lc * r[k + j] - c * g[j]
+    return r[:n], q
+
+
+def _subresultant(m, a, cofactor):
+    """Subresultant sequence over Z of Phi_m and the integer list a, reduced
+    mod Phi_m and made primitive (Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 3.3.7); Phi_m is irreducible, so it ends in a
+    constant c unless a = 0 mod Phi_m.  With ``cofactor`` it returns (s, c)
+    in lowest terms, c > 0, s*a = c mod Phi_m (ZeroDivisionError for a = 0);
+    otherwise Res(Phi_m, a) = Res(Phi_m, a mod Phi_m), as Phi_m is monic."""
+    g = _fold(list(a), m)
+    while g and not g[-1]:
+        g.pop()
+    if not g:
         if cofactor:
-            qs = [Fraction(0)] * (len(q) + len(s1) - 1)
+            raise ZeroDivisionError("inverse of zero")
+        return 0
+    content = gcd(*g)
+    g = [x // content for x in g]
+    f = cyclotomic_polynomial(m)
+    u0, u1 = [], [1]  # u * (a / content) = the sequence member, mod Phi_m
+    t, lead, h = content ** (len(f) - 1), 1, 1  # t gathers content, signs
+    while len(g) > 1:
+        delta = len(f) - len(g)
+        t *= (-1) ** ((len(f) - 1) * (len(g) - 1))
+        r, q = _prem(f, g)
+        divisor = lead * h ** delta
+        if cofactor:
+            u = [g[-1] ** (delta + 1) * x for x in u0]
+            u += [0] * (len(q) + len(u1) - 1 - len(u))
             for i, x in enumerate(q):
-                if x:
-                    for j, y in enumerate(s1):
-                        qs[i + j] += x * y
-            s0, s1 = s1, [x - y for x, y in zip_longest(s0, qs, fillvalue=0)]
-        elif r:
-            if (len(f) - 1) * (len(g) - 1) % 2:
-                res = -res
-            res *= g[-1] ** (len(f) - len(r))
-        f, g = g, r
+                for j, y in enumerate(u1, i):
+                    u[j] -= x * y
+            u0, u1 = u1, [x // divisor for x in u]
+        f, g = g, [x // divisor for x in r]
+        while g and not g[-1]:  # a nonzero constant remains
+            g.pop()
+        lead = f[-1]
+        h = lead ** delta // h ** (delta - 1)
     if cofactor:
-        return [x / g[0] for x in s1]
-    return res * g[0] ** (len(f) - 1) if g else Fraction(0)
+        s, c = _fold(u1, m), content * g[0]
+        common = gcd(c, *s) if c > 0 else -gcd(c, *s)
+        return tuple(x // common for x in s), c // common
+    return t * g[0] ** (len(f) - 1) // h ** (len(f) - 2)
 
 
 def cyclotomic_norm(a, m):
     """The norm from Q(zeta_m) to Q of sum a_k * zeta_m^k: the integer
     Res(Phi_m, a) for the integer vector a (low to high)."""
-    res = _euclid(m, a, cofactor=False)
-    if res.denominator != 1:
-        raise ArithmeticError("cyclotomic norm is not an integer")
-    return int(res)
+    return _subresultant(m, a, cofactor=False)
 
 
 class CyclotomicField:
-    """Q(zeta_m), with elements kept as integer (or Fraction) vectors of
-    length phi(m) in the power basis."""
+    """Q(zeta_m), with elements of Z[zeta_m] kept as integer vectors of
+    length phi(m) in the power basis; it stores only m and the degree."""
 
     def __init__(self, m):
         self.m = m
-        phi = cyclotomic_polynomial(m)
-        self.degree = len(phi) - 1
-        # x^k mod Phi_m for all k < max(m, 2*degree - 1), so that both
-        # root powers and product reduction are table lookups.
-        top = [-c for c in phi[:-1]]  # x^degree == top (Phi_m is monic)
-        table = [[int(i == k) for i in range(self.degree)]
-                 for k in range(self.degree)]
-        limit = max(m, 2 * self.degree - 1)
-        for k in range(self.degree, limit):
-            prev = table[k - 1]
-            shifted = [0] + prev[:-1]
-            carry = prev[-1]
-            if carry:
-                shifted = [s + carry * t for s, t in zip(shifted, top)]
-            table.append(shifted)
-        self._power_table = [tuple(row) for row in table]
+        self.degree = len(cyclotomic_polynomial(m)) - 1
         self.zero = (0,) * self.degree
-        self.one = self._power_table[0]
+        self.one = (1,) + self.zero[1:]
+
+    def reduce(self, coeffs):
+        """The element sum c_k * zeta^k of the integer list coeffs."""
+        return tuple(_fold(list(coeffs), self.m))
 
     def from_int(self, c):
-        return tuple(c * x for x in self.one)
+        return (c,) + self.zero[1:]
 
     def root_power(self, k):
         """zeta^k as an element."""
-        return self._power_table[k % self.m]
+        return self.reduce([0] * (k % self.m) + [1])
 
     def is_zero(self, a):
         return not any(a)
@@ -169,46 +184,28 @@ class CyclotomicField:
     def sub(self, a, b):
         return tuple(x - y for x, y in zip(a, b))
 
-    def scale(self, c, a):
-        return tuple(c * x for x in a)
-
     def mul(self, a, b):
-        d = self.degree
-        out = [0] * d
+        out = [0] * (len(a) + len(b) - 1)
+        terms = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if not y:
-                    continue
-                k = i + j
-                if k < d:
-                    out[k] += x * y
-                else:
-                    prod = x * y
-                    red = self._power_table[k]
-                    for idx in range(d):
-                        if red[idx]:
-                            out[idx] += prod * red[idx]
-        return tuple(out)
+            if x:
+                for j, y in terms:
+                    out[i + j] += x * y
+        return tuple(_fold(out, self.m))
 
     def inverse(self, a):
-        """Inverse in Q(zeta_m) as a Fraction vector: the Bezout cofactor of
-        a against the cyclotomic polynomial."""
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of zero")
-        coeffs = _euclid(self.m, a, cofactor=True) + [0] * self.degree
-        return tuple(coeffs[:self.degree])
+        """The inverse of a nonzero a as an integer pair (s, c) in lowest
+        terms with c > 0 and s*a = c."""
+        return _subresultant(self.m, a, cofactor=True)
 
     def times_inverse(self, a, inv):
-        """a * inv for inv = inverse(b): the exact quotient a / b once b is
-        inverted, asserted to land back in Z[zeta_m]."""
-        result = []
-        for c in self.mul(a, inv):
-            if c.denominator != 1:
-                raise ArithmeticError("Bareiss division left the ring")
-            result.append(int(c))
-        return tuple(result)
+        """a * s / c for inv = (s, c) = inverse(b): the exact quotient a / b,
+        asserted to land back in Z[zeta_m]."""
+        s, c = inv
+        quotients = [divmod(x, c) for x in self.mul(a, s)]
+        if any(rem for _, rem in quotients):
+            raise ArithmeticError("Bareiss division left the ring")
+        return tuple(quo for quo, _ in quotients)
 
 
 def bareiss_rank(rows, field):

@@ -182,6 +182,17 @@ def _selected(names):
             ([names] if isinstance(names, str) else names)]
 
 
+def _prime_tuples(entry, b1, names, primes, defaults):
+    """A cover suite's default prime tuples for an entry with first Betti
+    number b1, or the requested tuple: without names it selects the entries
+    whose b1 is its length, and a named entry with another b1 is an error."""
+    if primes is None or len(primes) == b1:
+        return defaults if primes is None else [tuple(primes)]
+    if names is not None:
+        raise ValueError("need %d primes for %s" % (b1, entry.name))
+    return []
+
+
 def run_torsion_cover(names=None, primes=None, max_index=DEFAULT_MAX_INDEX):
     """Torsion order of finite abelian covers against root-of-unity norms,
     through two independent pipelines.
@@ -191,23 +202,14 @@ def run_torsion_cover(names=None, primes=None, max_index=DEFAULT_MAX_INDEX):
     from H_2 of the covering lattice (the index-4 Heisenberg cover has
     torsion Z/4 while every value of its order polynomial 1 is 1), so
     wider claims are left to explicit --corpus/--primes requests, which
-    are answered honestly.  Without names, a primes tuple selects the
-    corpus members whose b1 is its length.
+    are answered honestly; a requested cover over max_index is an error.
     """
     reports = []
     for entry in _selected(names):
         b1 = abelianize(entry.presentation).rank
-        if names is None and b1 != (1 if primes is None else len(primes)):
-            continue
-        if primes is not None:
-            prime_tuples = [tuple(primes)]
-        else:
-            prime_tuples = [(p,) * b1 for p in (2, 3)]
-        for tup in prime_tuples:
-            if len(tup) != b1:
-                raise ValueError("need %d primes for %s" % (b1, entry.name))
-            if prod(tup) > max_index:
-                continue
+        defaults = [(p,) * b1 for p in (2, 3) if p ** b1 <= max_index
+                    and (names is not None or b1 == 1)]
+        for tup in _prime_tuples(entry, b1, names, primes, defaults):
             report = verify_torsion_cover_formula(entry.presentation, tup,
                                                   max_index)
             report.inputs["name"] = entry.name
@@ -231,17 +233,18 @@ def _cover_prime_tuples(rank, max_index, primes=(2, 3, 5)):
             if prod(tup) <= max_index]
 
 
-def run_hironaka(names=None, max_index=DEFAULT_MAX_INDEX):
+def run_hironaka(names=None, primes=None, max_index=DEFAULT_MAX_INDEX):
     """The character-rank prediction of the cover's first Betti number must
     match the rank computed from the Reidemeister-Schreier presentation,
-    for every corpus cover within the index limit."""
+    for every corpus cover within the index limit, or the requested one."""
     reports = []
     for entry in _selected(names):
         rank = abelianize(entry.presentation).rank
-        for tup in _cover_prime_tuples(rank, max_index):
+        for tup in _prime_tuples(entry, rank, names, primes,
+                                 _cover_prime_tuples(rank, max_index)):
             cm = free_abelian_cover(entry.presentation, tup)
-            predicted = hironaka_predicted_betti(entry.presentation, cm)
             actual = cover_homology(reidemeister_schreier(cm, max_index)).rank
+            predicted = hironaka_predicted_betti(entry.presentation, cm)
             reports.append(VerifyReport(
                 "hironaka",
                 {"name": entry.name, "primes": list(tup)},
@@ -270,7 +273,7 @@ SUITES = {
     "torsion-cover": (run_torsion_cover, ("names", "primes", "max_index")),
     "shalen-wagreich": (run_shalen_wagreich,
                         ("names", "primes", "max_index")),
-    "hironaka": (run_hironaka, ("names", "max_index")),
+    "hironaka": (run_hironaka, ("names", "primes", "max_index")),
     "b1-ge-4": (run_b1_ge_4, ("names",)),
 }
 THEOREMS = tuple(SUITES)

@@ -6,16 +6,19 @@ invariant factors from gcd-of-minors ratios, ranks over F_p from dense
 Gauss-Jordan elimination, Laurent determinants from cofactor expansion,
 unit reduction from a full rescan for each pivot, unit symmetry of
 one-variable polynomials from a palindrome test on dense coefficient
-lists, and root-of-unity norms from a product in the group ring.
+lists, root-of-unity norms from a product in the group ring, and
+inverses and norms in Q(zeta_m) from a Euclid over Q in Fractions.
 """
 
 from contextlib import contextmanager
-from itertools import combinations, product
+from fractions import Fraction
+from itertools import combinations, product, zip_longest
 from math import gcd as int_gcd
 
 import pytest
 
 import alexinv.laurent
+from alexinv.cyclotomic import cyclotomic_polynomial
 from alexinv.laurent import LaurentPoly
 
 
@@ -242,6 +245,55 @@ def group_ring_norm(f, primes):
         return 0
     assert set(result) == {(0,) * n}, "group-ring product is not an integer"
     return result[(0,) * n]
+
+
+def fraction_euclid(m, a, cofactor):
+    """Euclid over Q of Phi_m against the integer vector a (low to high),
+    with every quotient computed in Fractions.
+
+    With ``cofactor`` it returns the Fraction list s (low to high, degree
+    below phi(m)) with s*a = 1 mod Phi_m, for a nonzero mod Phi_m.
+    Otherwise it returns Res(Phi_m, a) as a Fraction, built up by
+    Res(F, G) = (-1)^(deg F deg G) * lc(G)^(deg F - deg R) * Res(G, R) for
+    R = F mod G, down to Res(F, c) = c^deg F, or 0 if some R is 0.
+    """
+    def trim(p):
+        while p and not p[-1]:
+            p.pop()
+        return p
+
+    def divmod_(f, g):
+        r = list(f)
+        q = [Fraction(0)] * (len(f) - len(g) + 1)
+        for i in range(len(q) - 1, -1, -1):
+            c = r[i + len(g) - 1] / g[-1]
+            q[i] = c
+            if c:
+                for j, y in enumerate(g):
+                    r[i + j] -= c * y
+        return q, trim(r)
+
+    f = [Fraction(c) for c in cyclotomic_polynomial(m)]
+    g = trim([Fraction(c) for c in a])
+    s0, s1 = [], [Fraction(1)]
+    res = Fraction(1)
+    while len(g) > 1:
+        q, r = divmod_(f, g)
+        if cofactor:
+            qs = [Fraction(0)] * (len(q) + len(s1) - 1)
+            for i, x in enumerate(q):
+                if x:
+                    for j, y in enumerate(s1):
+                        qs[i + j] += x * y
+            s0, s1 = s1, [x - y for x, y in zip_longest(s0, qs, fillvalue=0)]
+        elif r:
+            if (len(f) - 1) * (len(g) - 1) % 2:
+                res = -res
+            res *= g[-1] ** (len(f) - len(r))
+        f, g = g, r
+    if cofactor:
+        return [x / g[0] for x in s1]
+    return res * g[0] ** (len(f) - 1) if g else Fraction(0)
 
 
 @contextmanager

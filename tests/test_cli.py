@@ -156,6 +156,39 @@ class TestVerify:
         assert code == 2 and not out
         assert "heisenberg" in err and "mapping-torus-A" not in err
 
+    @pytest.mark.parametrize("theorem", ["torsion-cover", "hironaka"])
+    def test_requested_cover_over_max_index(self, capsys, theorem):
+        # an explicit tuple is never skipped: its cover is over the
+        # default limit 256, which is a resource error
+        code, out, err = run(capsys, "verify", theorem,
+                             "--corpus", "mapping-torus-A", "--primes", "1009")
+        assert code == 3 and not out
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "1009" in err and "256" in err
+
+    def test_hironaka_primes_select_by_b1(self, capsys):
+        code, out, err = run(capsys, "verify", "hironaka", "--primes", "127")
+        assert code == 0 and not err
+        data = json.loads(out)
+        assert [r["inputs"]["name"] for r in data["results"]] == \
+            ["s1xs2", "mapping-torus-A", "mapping-torus-fib"]
+        assert {tuple(r["inputs"]["primes"]) for r in data["results"]} \
+            == {(127,)}
+        assert data["failed"] == 0
+        code, out, _ = run(capsys, "verify", "hironaka",
+                           "--corpus", "t3", "--primes", "3,5,7",
+                           "--max-index", "105")
+        assert code == 0
+        assert [r["inputs"]["primes"] for r in json.loads(out)["results"]] \
+            == [[3, 5, 7]]
+
+    def test_hironaka_named_b1_mismatch(self, capsys):
+        code, out, err = run(capsys, "verify", "hironaka",
+                             "--corpus", "heisenberg,t3", "--primes", "3,3")
+        assert code == 2 and not out
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "t3" in err and "heisenberg" not in err
+
     def test_levine_seeded(self, capsys):
         code, out, _ = run(capsys, "verify", "levine",
                            "--seed", "7", "--cases", "10")
@@ -217,7 +250,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv", [
         ("shalen-wagreich", "--seed", "1"),
-        ("hironaka", "--primes", "2"),
+        ("hironaka", "--seed", "1"),
         ("levine", "--primes", "2"),
         ("levine", "--corpus", "t3"),
         ("blanchfield", "--primes", "2"),

@@ -1,13 +1,13 @@
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm, prod
 
 import pytest
 
 from alexinv.alexander import AlexanderMatrix, fox_alexander_matrix
-from alexinv.corpus import entries, get
+from alexinv.corpus import entries, get, mapping_torus
 from alexinv.covers import (Character, CoverIndexError, CoverMap, DeckGroup,
                             b1_ge_4_consistency, char_rank, cover_homology,
                             free_abelian_cover, hironaka_predicted_betti,
@@ -19,7 +19,7 @@ from alexinv.cyclotomic import (CyclotomicField, bareiss_rank,
 from alexinv.laurent import LaurentPoly, parse_poly
 from alexinv.presentation import abelianize, parse_presentation
 from alexinv.verify import _cover_prime_tuples, random_matrix
-from conftest import int_det, mat_pow
+from conftest import fraction_euclid, int_det, mat_pow
 
 T3 = parse_presentation("<x,y,z | [x,y], [x,z], [y,z]>")
 HEIS = parse_presentation("<x, y, z | Z*[x,y], [x,z], [y,z]>")
@@ -61,12 +61,11 @@ class TestCyclotomic:
         assert fld.times_inverse(fld.mul(a, b), fld.inverse(b)) == a
 
     def test_inverse(self):
+        # zeta is a unit of Z[zeta_3]: its inverse has denominator 1
         fld = CyclotomicField(3)
-        inv = fld.inverse(fld.root_power(1))
-        prod_coeffs = fld.mul(fld.root_power(1),
-                              tuple(int(c) for c in inv))
-        assert prod_coeffs == fld.one
-        assert all(Fraction(c).denominator == 1 for c in inv)
+        s, c = fld.inverse(fld.root_power(1))
+        assert c == 1
+        assert fld.mul(fld.root_power(1), s) == fld.one
 
     def test_bareiss_rank_rationals(self):
         fld = CyclotomicField(1)
@@ -76,7 +75,6 @@ class TestCyclotomic:
             A = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
             rows = [[fld.from_int(x) for x in row] for row in A]
             # oracle: rank = largest k with a nonzero k x k minor
-            from itertools import combinations
             oracle = 0
             for k in range(1, min(m, n) + 1):
                 found = any(
@@ -105,14 +103,17 @@ class TestCyclotomicEuclid:
                     coeffs[rng.randrange(m)] = rng.randint(-5, 5)
                 a = fld.zero
                 for k, c in enumerate(coeffs):
-                    a = fld.add(a, fld.scale(c, fld.root_power(k)))
+                    a = fld.add(a, fld.mul(fld.from_int(c),
+                                           fld.root_power(k)))
                 # columns a * zeta^j in the power basis
                 columns = [fld.mul(a, fld.root_power(j))
                            for j in range(fld.degree)]
                 norm = int_det([list(row) for row in zip(*columns)])
                 assert cyclotomic_norm(coeffs, m) == norm
                 if not fld.is_zero(a):
-                    assert fld.mul(a, fld.inverse(a)) == fld.one
+                    s, c = fld.inverse(a)
+                    assert c > 0 and gcd(c, *s) == 1
+                    assert fld.mul(a, s) == fld.from_int(c)
 
     def test_norm_of_zero(self):
         for m in self.MODULI:
@@ -120,6 +121,156 @@ class TestCyclotomicEuclid:
             assert cyclotomic_norm([0] * m, m) == 0
             with pytest.raises(ZeroDivisionError):
                 CyclotomicField(m).inverse(CyclotomicField(m).zero)
+
+
+def _poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+class TestEuclidDifferential:
+    """The integer subresultant inverse and norm against the Fraction
+    Euclid oracle, on seeded inputs of each kind the sequence treats
+    differently."""
+
+    # cases per modulus; the oracle's Fractions grow fast at large phi(m)
+    MODULI = {1: 60, 2: 60, 3: 60, 4: 60, 5: 60, 6: 60, 7: 60, 12: 60,
+              15: 60, 30: 60, 31: 40, 127: 20, 1009: 10}
+    KINDS = ("non_monic", "content", "unreduced", "degree_jump", "zero")
+
+    @staticmethod
+    def sparse(rng, deg, lead=None):
+        """An integer list of degree deg with a few nonzero terms."""
+        a = [0] * (deg + 1)
+        for _ in range(rng.randint(0, 3)):
+            a[rng.randint(0, deg)] = rng.randint(-5, 5)
+        a[deg] = lead or rng.choice((-5, -3, -2, -1, 1, 2, 3, 5))
+        return a
+
+    def make(self, rng, m, kind):
+        phi = cyclotomic_polynomial(m)
+        d = len(phi) - 1
+        top = min(d - 1, 12)  # low degrees keep the oracle fast
+        if kind == "non_monic":
+            return self.sparse(rng, rng.randint(0, top),
+                               rng.choice((-7, -4, -2, 2, 3, 6)))
+        if kind == "content":
+            c = rng.choice((2, 3, 4, 6, 10))
+            return [c * x for x in self.sparse(rng, rng.randint(0, top))]
+        if kind == "degree_jump":
+            # deg a <= phi(m) - 2: the first division drops two degrees
+            return self.sparse(rng, rng.randint(1, min(d - 2, top))
+                               if d >= 3 else 0)
+        multiple = _poly_mul(phi, self.sparse(rng, rng.randint(0, 2)))
+        if kind == "zero":
+            return multiple
+        # unreduced: a reduced part plus a multiple of Phi_m, and for small
+        # m terms at exponents k + m*j, which Phi_m | x^m - 1 sends to k
+        a = self.sparse(rng, rng.randint(0, top))
+        a += [0] * (len(multiple) - len(a))
+        a = [x + y for x, y in zip(a, multiple)]
+        if m <= 31:
+            a += [0] * (2 * m)
+            for _ in range(rng.randint(1, 3)):
+                a[rng.randrange(len(a))] += rng.randint(-4, 4)
+        return a
+
+    def test_matches_fraction_oracle(self):
+        rng = random.Random(90)
+        seen = dict.fromkeys(self.KINDS, 0)
+        cases = 0
+        for m, count in self.MODULI.items():
+            fld = CyclotomicField(m)
+            d = fld.degree
+            for i in range(count):
+                a = self.make(rng, m, self.KINDS[i % len(self.KINDS)])
+                b = fld.reduce(a)
+                deg = max((k for k, x in enumerate(b) if x), default=-1)
+                seen["non_monic"] += deg >= 0 and abs(b[deg]) > 1
+                seen["content"] += deg >= 0 and gcd(*b) > 1
+                seen["unreduced"] += len(a) > d and a[-1] != 0
+                seen["degree_jump"] += 1 <= deg <= d - 2
+                seen["zero"] += deg < 0
+                norm = fraction_euclid(m, a, cofactor=False)
+                assert norm.denominator == 1
+                assert cyclotomic_norm(a, m) == norm, (m, a)
+                if deg < 0:
+                    assert norm == 0
+                    with pytest.raises(ZeroDivisionError):
+                        fld.inverse(b)
+                else:
+                    s, c = fld.inverse(b)
+                    assert c > 0 and gcd(c, *s) == 1
+                    assert fld.mul(b, s) == fld.from_int(c), (m, a)
+                    want = fraction_euclid(m, a, cofactor=True)
+                    while want and not want[-1]:
+                        want.pop()
+                    assert len(want) <= d
+                    want += [0] * (d - len(want))
+                    assert [Fraction(x, c) for x in s] == want, (m, a)
+                cases += 1
+        assert cases >= 600
+        assert min(seen.values()) >= 100, seen
+
+
+def field_det(rows, fld):
+    """Determinant over Z[zeta_m] by cofactor expansion along the first
+    row, with the field's ring operations only (no inverse)."""
+    if not rows:
+        return fld.one
+    total = fld.zero
+    for j, x in enumerate(rows[0]):
+        if fld.is_zero(x):
+            continue
+        term = fld.mul(x, field_det([r[:j] + r[j + 1:] for r in rows[1:]],
+                                    fld))
+        total = fld.sub(total, term) if j % 2 else fld.add(total, term)
+    return total
+
+
+class TestBareissRankCyclotomic:
+    def test_planted_rank_drop(self):
+        # rows beyond the first k are Z[zeta]-combinations of those k, as in
+        # the Fox matrices at nontrivial characters, whose rank is R - 1
+        rng = random.Random(32)
+        cases = divided = 0
+        for m in (3, 4, 5, 7, 12, 15, 30):
+            fld = CyclotomicField(m)
+
+            def element():
+                coeffs = [0] * m
+                for _ in range(rng.randint(0, 4)):
+                    coeffs[rng.randrange(m)] = rng.randint(-3, 3)
+                return fld.reduce(coeffs)
+
+            for _ in range(15):
+                nrows, ncols = (rng.choice((2, 3, 3, 4, 4)) for _ in "rc")
+                k = max(1, min(nrows, ncols) - rng.choice((1, 1, 1, 2)))
+                rows = [[element() for _ in range(ncols)] for _ in range(k)]
+                while len(rows) < nrows:
+                    lam = [element() for _ in range(k)]
+                    row = []
+                    for j in range(ncols):
+                        acc = fld.zero
+                        for c, basis in zip(lam, rows[:k]):
+                            acc = fld.add(acc, fld.mul(c, basis[j]))
+                        row.append(acc)
+                    rows.append(row)
+                rng.shuffle(rows)
+                oracle = max((size for size in range(1, min(nrows, ncols) + 1)
+                              for sub in combinations(range(nrows), size)
+                              for cols in combinations(range(ncols), size)
+                              if not fld.is_zero(field_det(
+                                  [[rows[i][j] for j in cols] for i in sub],
+                                  fld))), default=0)
+                assert oracle <= k
+                assert bareiss_rank(rows, fld) == oracle, (m, rows)
+                cases += 1
+                divided += oracle >= 2
+        assert cases >= 100 and divided >= 50
 
 
 class TestDeckAndCoverMap:
@@ -405,6 +556,19 @@ class TestHironaka:
         P = get("mapping-torus-A").presentation
         cm = free_abelian_cover(P, [3])
         assert hironaka_predicted_betti(P, cm) == 1
+
+    def test_order_three_monodromy(self):
+        # A = ((0, -1), (1, -1)) has order 3 and Delta = t^2 + t + 1: the
+        # p-fold cyclic cover is the mapping torus of A^p, with b1 = 3 when
+        # 3 | p and 1 otherwise, so the rank drops only at cube roots of 1
+        entry = mapping_torus([[0, -1], [1, -1]])
+        assert entry.expected["delta"] == "t^2 + t + 1"
+        P = entry.presentation
+        for p, b1 in ((2, 1), (3, 3), (5, 1), (7, 1), (31, 1)):
+            cm = free_abelian_cover(P, (p,))
+            predicted = hironaka_predicted_betti(P, cm)
+            actual = cover_homology(reidemeister_schreier(cm)).rank
+            assert predicted == actual == b1, p
 
     def test_free_groups_nielsen_schreier(self):
         # rank-0 matrices put every nontrivial character in every V_i, and
