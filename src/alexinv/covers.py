@@ -15,7 +15,7 @@ from math import comb, prod
 
 from . import presentation as pres
 from .alexander import alexander_polynomial, fox_alexander_matrix
-from .cyclotomic import (CyclotomicField, bareiss_rank, character_exponent,
+from .cyclotomic import (CyclotomicField, bareiss_rank, character_evaluation,
                          character_order, galois_orbits)
 from .laurent import is_prime, root_of_unity_norm
 from .presentation import (AbelianizationData, Presentation, abelianize,
@@ -272,17 +272,11 @@ def char_rank(A, chi, deck):
     exps = chi.exponents
     m = character_order(deck.primes, exps)
     fld = CyclotomicField(m)
-    k_of = character_exponent(deck.primes, exps, m)
-
-    def evaluate(poly):
-        coeffs = [0] * m
-        for mono, coeff in poly.terms.items():
-            coeffs[k_of(mono)] += coeff
-        return fld.reduce(coeffs)
-
+    at_chi = character_evaluation(deck.primes, exps, m)
     if not A.rows:
         return 0
-    return bareiss_rank(A.evaluate(evaluate), fld)
+    return bareiss_rank(A.evaluate(lambda f: fld.reduce(at_chi(f.terms))),
+                        fld)
 
 
 def hironaka_predicted_betti(P, cm):

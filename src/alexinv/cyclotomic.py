@@ -57,12 +57,19 @@ def galois_orbits(primes):
         yield exps, m, len(orbit)
 
 
-def character_exponent(primes, exponents, m):
-    """The map from a monomial t^I to the k with t^I = zeta_m^k at the
-    character with these exponents and order m: k = sum (m/p_i) e_i I_i
-    mod m."""
+def character_evaluation(primes, exponents, m):
+    """The map from a polynomial's terms {t^I: c} to its value at the
+    character with these exponents and order m, as the unreduced integer
+    list a of length m with value sum a_k zeta_m^k: each t^I goes to
+    zeta_m^k, k = sum (m/p_i) e_i I_i mod m."""
     weights = [(m // p) * (e % p) for p, e in zip(primes, exponents)]
-    return lambda mono: sum(w * x for w, x in zip(weights, mono)) % m
+
+    def evaluate(terms):
+        a = [0] * m
+        for mono, c in terms.items():
+            a[sum(w * x for w, x in zip(weights, mono)) % m] += c
+        return a
+    return evaluate
 
 
 def _fold(v, m):
@@ -80,21 +87,21 @@ def _fold(v, m):
     return v
 
 
+def _divexact(v, d, what):
+    """The integer list v divided entrywise by d, asserted exact."""
+    quotients = [divmod(x, d) for x in v]
+    if any(rem for _, rem in quotients):
+        raise ArithmeticError(what + " left the ring")
+    return [quo for quo, _ in quotients]
+
+
 def _prem(f, g):
     """(r, q) with lc(g)^(delta+1) f = q g + r, delta = deg f - deg g >= 0,
     for integer lists (low to high) and deg g >= 1.  Step k scales only its
     window f[k : k + deg g + 1] by lc(g), after the entering entry catches
-    up on the scalings it missed; for lc(g) = +-1 it divides exactly."""
+    up on the scalings it missed."""
     n, lc, delta = len(g) - 1, g[-1], len(f) - len(g)
     r, q = list(f), [0] * (delta + 1)
-    if lc in (1, -1):
-        for k in range(delta, -1, -1):
-            c = q[k] = r[k + n] * lc
-            if c:
-                for j in range(n):
-                    r[k + j] -= c * g[j]
-        sign = lc ** (delta + 1)
-        return [sign * x for x in r[:n]], [sign * x for x in q]
     powers = [lc ** e for e in range(delta + 1)]
     for k in range(delta, -1, -1):
         r[k] *= powers[delta - k]
@@ -135,17 +142,20 @@ def _subresultant(m, a, cofactor):
             for i, x in enumerate(q):
                 for j, y in enumerate(u1, i):
                     u[j] -= x * y
-            u0, u1 = u1, [x // divisor for x in u]
-        f, g = g, [x // divisor for x in r]
+            u0, u1 = u1, _divexact(u, divisor, "subresultant division")
+        f, g = g, _divexact(r, divisor, "subresultant division")
         while g and not g[-1]:  # a nonzero constant remains
             g.pop()
         lead = f[-1]
-        h = lead ** delta // h ** (delta - 1)
+        h, = _divexact([lead ** delta], h ** (delta - 1),
+                       "subresultant division")
     if cofactor:
         s, c = _fold(u1, m), content * g[0]
         common = gcd(c, *s) if c > 0 else -gcd(c, *s)
         return tuple(x // common for x in s), c // common
-    return t * g[0] ** (len(f) - 1) // h ** (len(f) - 2)
+    norm, = _divexact([t * g[0] ** (len(f) - 1)], h ** (len(f) - 2),
+                      "resultant")
+    return norm
 
 
 def cyclotomic_norm(a, m):
@@ -170,10 +180,6 @@ class CyclotomicField:
 
     def from_int(self, c):
         return (c,) + self.zero[1:]
-
-    def root_power(self, k):
-        """zeta^k as an element."""
-        return self.reduce([0] * (k % self.m) + [1])
 
     def is_zero(self, a):
         return not any(a)
@@ -202,10 +208,7 @@ class CyclotomicField:
         """a * s / c for inv = (s, c) = inverse(b): the exact quotient a / b,
         asserted to land back in Z[zeta_m]."""
         s, c = inv
-        quotients = [divmod(x, c) for x in self.mul(a, s)]
-        if any(rem for _, rem in quotients):
-            raise ArithmeticError("Bareiss division left the ring")
-        return tuple(quo for quo, _ in quotients)
+        return tuple(_divexact(self.mul(a, s), c, "Bareiss division"))
 
 
 def bareiss_rank(rows, field):

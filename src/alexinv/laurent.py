@@ -18,7 +18,7 @@ from enum import Enum
 from operator import add
 from types import MappingProxyType
 
-from .cyclotomic import character_exponent, cyclotomic_norm, galois_orbits
+from .cyclotomic import character_evaluation, cyclotomic_norm, galois_orbits
 
 
 class ParseError(ValueError):
@@ -764,11 +764,8 @@ def root_of_unity_norm(f, primes):
             raise ValueError("%r is not prime" % (p,))
     norm = 1
     for exps, m, _ in galois_orbits(primes):
-        k_of = character_exponent(primes, exps, m)
-        a = [0] * m
-        for mono, c in f.terms.items():
-            a[k_of(mono)] += c
-        norm *= cyclotomic_norm(a, m)
+        norm *= cyclotomic_norm(
+            character_evaluation(primes, exps, m)(f.terms), m)
         if not norm:
             return 0
     return norm

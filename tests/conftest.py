@@ -247,6 +247,11 @@ def group_ring_norm(f, primes):
     return result[(0,) * n]
 
 
+def root_power(fld, k):
+    """zeta^k as an element of the CyclotomicField fld."""
+    return fld.reduce([0] * (k % fld.m) + [1])
+
+
 def fraction_euclid(m, a, cofactor):
     """Euclid over Q of Phi_m against the integer vector a (low to high),
     with every quotient computed in Fractions.

@@ -6,6 +6,7 @@ from math import gcd, lcm, prod
 
 import pytest
 
+import alexinv.cyclotomic
 from alexinv.alexander import AlexanderMatrix, fox_alexander_matrix
 from alexinv.corpus import entries, get, mapping_torus
 from alexinv.covers import (Character, CoverIndexError, CoverMap, DeckGroup,
@@ -19,7 +20,7 @@ from alexinv.cyclotomic import (CyclotomicField, bareiss_rank,
 from alexinv.laurent import LaurentPoly, parse_poly
 from alexinv.presentation import abelianize, parse_presentation
 from alexinv.verify import _cover_prime_tuples, random_matrix
-from conftest import fraction_euclid, int_det, mat_pow
+from conftest import fraction_euclid, int_det, mat_pow, root_power
 
 T3 = parse_presentation("<x,y,z | [x,y], [x,z], [y,z]>")
 HEIS = parse_presentation("<x, y, z | Z*[x,y], [x,z], [y,z]>")
@@ -39,11 +40,11 @@ class TestCyclotomic:
     def test_root_powers_cycle(self):
         for m in (1, 2, 3, 5, 6, 30):
             fld = CyclotomicField(m)
-            assert fld.root_power(m) == fld.one
+            assert root_power(fld, m) == fld.one
             acc = fld.one
             for k in range(1, m + 1):
-                acc = fld.mul(acc, fld.root_power(1))
-                assert acc == fld.root_power(k)
+                acc = fld.mul(acc, root_power(fld, 1))
+                assert acc == root_power(fld, k)
 
     def test_primitive_sum_is_minus_one(self):
         # 1 + zeta + ... + zeta^(p-1) == 0 for prime p
@@ -51,21 +52,21 @@ class TestCyclotomic:
             fld = CyclotomicField(p)
             acc = fld.zero
             for k in range(p):
-                acc = fld.add(acc, fld.root_power(k))
+                acc = fld.add(acc, root_power(fld, k))
             assert fld.is_zero(acc)
 
     def test_divexact(self):
         fld = CyclotomicField(5)
-        a = fld.add(fld.root_power(1), fld.from_int(2))
-        b = fld.sub(fld.root_power(3), fld.from_int(4))
+        a = fld.add(root_power(fld, 1), fld.from_int(2))
+        b = fld.sub(root_power(fld, 3), fld.from_int(4))
         assert fld.times_inverse(fld.mul(a, b), fld.inverse(b)) == a
 
     def test_inverse(self):
         # zeta is a unit of Z[zeta_3]: its inverse has denominator 1
         fld = CyclotomicField(3)
-        s, c = fld.inverse(fld.root_power(1))
+        s, c = fld.inverse(root_power(fld, 1))
         assert c == 1
-        assert fld.mul(fld.root_power(1), s) == fld.one
+        assert fld.mul(root_power(fld, 1), s) == fld.one
 
     def test_bareiss_rank_rationals(self):
         fld = CyclotomicField(1)
@@ -104,9 +105,9 @@ class TestCyclotomicEuclid:
                 a = fld.zero
                 for k, c in enumerate(coeffs):
                     a = fld.add(a, fld.mul(fld.from_int(c),
-                                           fld.root_power(k)))
+                                           root_power(fld, k)))
                 # columns a * zeta^j in the power basis
-                columns = [fld.mul(a, fld.root_power(j))
+                columns = [fld.mul(a, root_power(fld, j))
                            for j in range(fld.degree)]
                 norm = int_det([list(row) for row in zip(*columns)])
                 assert cyclotomic_norm(coeffs, m) == norm
@@ -121,6 +122,31 @@ class TestCyclotomicEuclid:
             assert cyclotomic_norm([0] * m, m) == 0
             with pytest.raises(ZeroDivisionError):
                 CyclotomicField(m).inverse(CyclotomicField(m).zero)
+
+    def test_inexact_division_raises(self, monkeypatch):
+        """A pseudo-remainder off by one makes a later exact division
+        inexact, which must raise rather than floor."""
+        prem = alexinv.cyclotomic._prem
+
+        def off_by_one(f, g):
+            r, q = prem(f, g)
+            return [r[0] + 1] + r[1:], q
+
+        monkeypatch.setattr(alexinv.cyclotomic, "_prem", off_by_one)
+        fld = CyclotomicField(7)
+        # Phi_7 by 3x^2 + 2x + 1: the second remainder is divided by 3^5
+        with pytest.raises(ArithmeticError, match="subresultant division"):
+            cyclotomic_norm([1, 2, 3], 7)
+        with pytest.raises(ArithmeticError, match="subresultant division"):
+            fld.inverse(fld.reduce([1, 2, 3]))
+
+    def test_inexact_resultant_raises(self, monkeypatch):
+        """A sequence Phi_5, 2x^2 + 1, 1 ends in Res = +-1 / h with h = 4,
+        which must raise rather than floor."""
+        monkeypatch.setattr(alexinv.cyclotomic, "_prem",
+                            lambda f, g: ([1, 0], [0, 0, 1]))
+        with pytest.raises(ArithmeticError, match="resultant left the ring"):
+            cyclotomic_norm([1, 0, 2], 5)
 
 
 def _poly_mul(f, g):
