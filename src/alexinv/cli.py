@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import corpus, verify
@@ -178,8 +179,15 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: the exit-time flush goes to devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
+    return code
 
 
 if __name__ == "__main__":

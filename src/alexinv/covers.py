@@ -2,9 +2,9 @@
 
 A cover is described by a surjection of the fundamental group onto a
 direct sum of prime cyclic groups; the kernel presentation is produced by
-Reidemeister-Schreier rewriting over a breadth-first Schreier transversal.
-Character evaluations of Alexander matrices happen in exact cyclotomic
-arithmetic (:mod:`alexinv.cyclotomic`).
+Reidemeister-Schreier rewriting from a coset table over a breadth-first
+Schreier transversal.  Character evaluations of Alexander matrices happen
+in exact cyclotomic arithmetic (:mod:`alexinv.cyclotomic`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .cyclotomic import (CyclotomicField, bareiss_rank, character_evaluation,
                          character_order, galois_orbits)
 from .laurent import is_prime, root_of_unity_norm
 from .presentation import (AbelianizationData, Presentation, abelianize,
-                           mod_p_rank, reduce_word, smith_invariants)
+                           mod_p_rank, smith_invariants)
 
 DEFAULT_MAX_INDEX = 256
 
@@ -173,76 +173,65 @@ def free_abelian_cover(P, primes):
 
 
 def reidemeister_schreier(cm, max_index=DEFAULT_MAX_INDEX):
-    """Presentation of the kernel of a cover map.
+    """Presentation of the kernel of a cover map, from a coset table.
 
-    Cosets are deck-group elements (the coset of a word is just its image).
-    The transversal comes from a breadth-first spanning tree of the coset
-    graph, so it is prefix closed and deterministic; tree edges give trivial
-    Schreier generators and are dropped, leaving |deck|*n - (|deck| - 1)
-    generators and |deck|*m rewritten relators.
+    Cosets are deck-group elements (the coset of a word is just its image),
+    numbered breadth first from the identity, generators in index order;
+    ``act[g][c]`` and ``back[g][c]`` are the cosets of c*g and c*g^-1, and
+    ``schreier[c][g]`` numbers the Schreier generator of the edge (c, g),
+    or is None on a tree edge.  So the transversal is prefix closed and
+    deterministic, and |deck|*n - (|deck| - 1) generators and |deck|*m
+    rewritten relators remain.
     """
-    deck = cm.deck
-    order = deck.order
+    order = cm.deck.order
     if order > max_index:
         raise CoverIndexError(order, max_index)
     base = cm.base
     n = base.num_generators
-    primes = deck.primes
+    shifts = []  # each generator as a permutation of mixed-radix elements
+    for img in cm.assignment:
+        perm = [0]
+        for p, v in zip(cm.deck.primes, img):
+            perm = [q * p + (d + v) % p for q in perm for d in range(p)]
+        shifts.append(perm)
 
-    def step(coset, g, s):
-        img = cm.assignment[g]
-        return tuple((c + s * v) % p for c, v, p in zip(coset, img, primes))
-
-    identity = (0,) * len(primes)
-    coset_index = {identity: 0}
-    coset_order = [identity]
-    transversal = {identity: ()}
-    tree_edges = set()
-    queue = [identity]
-    while queue:
-        coset = queue.pop(0)
-        for g in range(n):
-            nxt = step(coset, g, 1)
-            if nxt not in coset_index:
-                coset_index[nxt] = len(coset_order)
-                coset_order.append(nxt)
-                transversal[nxt] = transversal[coset] + ((g, 1),)
-                tree_edges.add((coset, g))
-                queue.append(nxt)
-
-    # Schreier generators: one per non-tree edge (coset, generator).
+    act = [[0] * order for _ in range(n)]
+    back = [[0] * order for _ in range(n)]
+    schreier = [[None] * n for _ in range(order)]
     gen_names = []
-    schreier_index = {}
-    for coset in coset_order:
+    transversal = [()]
+    elements = [0]  # the mixed-radix number of each coset
+    coset_of = [0] + [None] * (order - 1)
+    for c, x in enumerate(elements):
         for g in range(n):
-            if (coset, g) in tree_edges:
-                continue
-            schreier_index[(coset, g)] = len(gen_names)
-            gen_names.append("%s_%d" % (base.generator_names[g],
-                                        coset_index[coset]))
+            y = shifts[g][x]
+            if coset_of[y] is None:
+                coset_of[y] = len(elements)
+                elements.append(y)
+                transversal.append(transversal[c] + ((g, 1),))
+            else:
+                schreier[c][g] = len(gen_names)
+                gen_names.append("%s_%d" % (base.generator_names[g], c))
+            act[g][c] = coset_of[y]
+            back[g][coset_of[y]] = c
 
-    def rewrite(word, start):
+    def rewrite(word, c):
         out = []
-        coset = start
         for g, s in word:
             if s > 0:
-                edge = (coset, g)
-                coset = step(coset, g, 1)
-                if edge not in tree_edges:
-                    out.append((schreier_index[edge], 1))
+                k = schreier[c][g]
+                c = act[g][c]
             else:
-                coset = step(coset, g, -1)
-                edge = (coset, g)
-                if edge not in tree_edges:
-                    out.append((schreier_index[edge], -1))
-        return reduce_word(tuple(out))
+                c = back[g][c]
+                k = schreier[c][g]
+            if k is not None:
+                out.append((k, s))
+        return out
 
-    relators = tuple(rewrite(rel, coset)
-                     for coset in coset_order
-                     for rel in base.relators)
-    cover = Presentation(tuple(gen_names), relators)
-    return CoverPresentation(cover, tuple(transversal[c] for c in coset_order),
-                             cm)
+    relators = tuple(rewrite(rel, c)
+                     for c in range(order) for rel in base.relators)
+    return CoverPresentation(Presentation(tuple(gen_names), relators),
+                             tuple(transversal), cm)
 
 
 def cover_homology(cp):

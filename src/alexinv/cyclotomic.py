@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 
 @lru_cache(maxsize=None)
@@ -43,18 +43,17 @@ def galois_orbits(primes):
     each once as (exponents, m, size); the trivial one first, with m = 1.
 
     A character with exponents e has squarefree order m, and a in (Z/m)^x
-    sends it to the character with exponents a*e.  Its orbit has phi(m)
-    members, since a*e = e forces a = 1 mod m.
+    sends it to a*e, scaling the entries of each prime independently.  So
+    the orbit has phi(m) members, and its least in product order is the
+    one whose first nonzero entry for each prime is 1.
     """
-    seen = set()
     for exps in product(*(range(p) for p in primes)):
-        if exps in seen:
-            continue
-        m = character_order(primes, exps)
-        orbit = {tuple(a * e % p for e, p in zip(exps, primes))
-                 for a in range(1, m + 1) if gcd(a, m) == 1}
-        seen |= orbit
-        yield exps, m, len(orbit)
+        lead = {}
+        for e, p in zip(exps, primes):
+            if e:
+                lead.setdefault(p, e)
+        if all(e == 1 for e in lead.values()):
+            yield exps, prod(lead), prod(p - 1 for p in lead)
 
 
 def character_evaluation(primes, exponents, m):

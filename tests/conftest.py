@@ -6,8 +6,9 @@ invariant factors from gcd-of-minors ratios, ranks over F_p from dense
 Gauss-Jordan elimination, Laurent determinants from cofactor expansion,
 unit reduction from a full rescan for each pivot, unit symmetry of
 one-variable polynomials from a palindrome test on dense coefficient
-lists, root-of-unity norms from a product in the group ring, and
-inverses and norms in Q(zeta_m) from a Euclid over Q in Fractions.
+lists, root-of-unity norms from a product in the group ring,
+inverses and norms in Q(zeta_m) from a Euclid over Q in Fractions, and
+Reidemeister-Schreier rewriting by stepping a coset tuple per letter.
 """
 
 from contextlib import contextmanager
@@ -18,8 +19,10 @@ from math import gcd as int_gcd
 import pytest
 
 import alexinv.laurent
+from alexinv.covers import CoverPresentation
 from alexinv.cyclotomic import cyclotomic_polynomial
 from alexinv.laurent import LaurentPoly
+from alexinv.presentation import Presentation, reduce_word
 
 
 def int_det(A):
@@ -299,6 +302,70 @@ def fraction_euclid(m, a, cofactor):
     if cofactor:
         return [x / g[0] for x in s1]
     return res * g[0] ** (len(f) - 1) if g else Fraction(0)
+
+
+def tuple_step_rs(cm):
+    """Kernel presentation of a cover map with cosets as deck-group
+    tuples: a breadth-first transversal in a dict, tree edges as a set of
+    (coset, generator) pairs, and a fresh tuple for every letter of every
+    relator at every coset."""
+    base = cm.base
+    n = base.num_generators
+    primes = cm.deck.primes
+
+    def step(coset, g, s):
+        img = cm.assignment[g]
+        return tuple((c + s * v) % p for c, v, p in zip(coset, img, primes))
+
+    identity = (0,) * len(primes)
+    coset_index = {identity: 0}
+    coset_order = [identity]
+    transversal = {identity: ()}
+    tree_edges = set()
+    queue = [identity]
+    while queue:
+        coset = queue.pop(0)
+        for g in range(n):
+            nxt = step(coset, g, 1)
+            if nxt not in coset_index:
+                coset_index[nxt] = len(coset_order)
+                coset_order.append(nxt)
+                transversal[nxt] = transversal[coset] + ((g, 1),)
+                tree_edges.add((coset, g))
+                queue.append(nxt)
+
+    gen_names = []
+    schreier_index = {}
+    for coset in coset_order:
+        for g in range(n):
+            if (coset, g) in tree_edges:
+                continue
+            schreier_index[(coset, g)] = len(gen_names)
+            gen_names.append("%s_%d" % (base.generator_names[g],
+                                        coset_index[coset]))
+
+    def rewrite(word, start):
+        out = []
+        coset = start
+        for g, s in word:
+            if s > 0:
+                edge = (coset, g)
+                coset = step(coset, g, 1)
+                if edge not in tree_edges:
+                    out.append((schreier_index[edge], 1))
+            else:
+                coset = step(coset, g, -1)
+                edge = (coset, g)
+                if edge not in tree_edges:
+                    out.append((schreier_index[edge], -1))
+        return reduce_word(tuple(out))
+
+    relators = tuple(rewrite(rel, coset)
+                     for coset in coset_order
+                     for rel in base.relators)
+    cover = Presentation(tuple(gen_names), relators)
+    return CoverPresentation(cover, tuple(transversal[c] for c in coset_order),
+                             cm)
 
 
 @contextmanager

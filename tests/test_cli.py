@@ -310,3 +310,23 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["symmetry"] == "Symmetric"
+
+
+@pytest.mark.parametrize("argv", [("corpus", "list"),
+                                  ("corpus", "show", "t3")])
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # the read end is closed before the child starts, so its first write
+    # (or, for the short output, the flush) meets a broken pipe
+    import os
+    import subprocess
+    import sys
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "alexinv", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""  # no traceback, no "Exception ignored"

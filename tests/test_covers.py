@@ -18,13 +18,16 @@ from alexinv.covers import (Character, CoverIndexError, CoverMap, DeckGroup,
 from alexinv.cyclotomic import (CyclotomicField, bareiss_rank,
                                 cyclotomic_norm, cyclotomic_polynomial)
 from alexinv.laurent import LaurentPoly, parse_poly
-from alexinv.presentation import abelianize, parse_presentation
+from alexinv.presentation import (Presentation, abelianize, inverse_word,
+                                  parse_presentation)
 from alexinv.verify import _cover_prime_tuples, random_matrix
-from conftest import fraction_euclid, int_det, mat_pow, root_power
+from conftest import (fraction_euclid, int_det, mat_pow, root_power,
+                      tuple_step_rs)
 
 T3 = parse_presentation("<x,y,z | [x,y], [x,z], [y,z]>")
 HEIS = parse_presentation("<x, y, z | Z*[x,y], [x,z], [y,z]>")
 FREE1 = parse_presentation("<x | >")
+T4 = parse_presentation("<x,y,z,w | [x,y], [x,z], [x,w], [y,z], [y,w], [z,w]>")
 
 
 class TestCyclotomic:
@@ -339,12 +342,14 @@ def same_cyclic_group(exps, primes):
 
 class TestCharacterOrbits:
     @pytest.mark.parametrize("primes", [(2, 3), (5, 5), (3, 3, 3),
-                                        (2, 3, 5)])
+                                        (2, 3, 5), (3, 2, 3), (2, 2, 3, 3)])
     def test_orbits_partition_with_constant_rank(self, primes):
         deck = DeckGroup(primes)
         orbits = list(deck.character_orbits())
         members = [same_cyclic_group(chi.exponents, primes)
                    for chi, _ in orbits]
+        for (chi, _), orbit in zip(orbits, members):
+            assert chi.exponents == min(orbit)
         flat = [v for orbit in members for v in orbit]
         assert len(flat) == len(set(flat))
         assert set(flat) == {chi.exponents for chi
@@ -363,7 +368,7 @@ class TestCharacterOrbits:
         rows = random_matrix(random.Random(3), 3, 3, arity).rows
         matrices = [AlexanderMatrix.from_rows(
             [[phi * x for x in rows[0]]] + list(rows[1:]), arity)]
-        matrices += [fox_alexander_matrix(P) for P in (T3, HEIS)
+        matrices += [fox_alexander_matrix(P) for P in (T3, HEIS, T4)
                      if abelianize(P).rank == arity]
         assert len(matrices) == 2
         random_ranks = set()
@@ -476,6 +481,83 @@ class TestReidemeisterSchreier:
             dp_direct = mod_p_betti(cp.presentation, p)
             dp_from_h1 = hom.rank + sum(1 for d in hom.torsion if d % p == 0)
             assert dp_direct == dp_from_h1
+
+
+def zero_sum_relator(rng, n):
+    """One or two commutators of random words with inverse letters: the
+    exponent sum of every generator is 0, so any assignment kills it."""
+    def word():
+        return tuple((rng.randrange(n), rng.choice((1, -1)))
+                     for _ in range(rng.randint(1, 4)))
+    rel = ()
+    for _ in range(rng.randint(1, 2)):
+        u, v = word(), word()
+        rel += u + v + inverse_word(u) + inverse_word(v)
+    return rel
+
+
+def random_cover_map(rng):
+    """A surjection of a random 2- or 3-generator group onto a sum of
+    primes from {2, 3, 5, 7}; one generator maps to 0, a self-loop at
+    every coset."""
+    n = rng.choice((2, 3))
+    P = Presentation(tuple("x%d" % i for i in range(n)),
+                     tuple(zero_sum_relator(rng, n)
+                           for _ in range(rng.randint(1, 3))))
+    zero = rng.randrange(n)
+    while True:
+        primes = tuple(rng.choice((2, 3, 5, 7))
+                       for _ in range(rng.randint(1, 3)))
+        assignment = [tuple(0 if g == zero else rng.randrange(p)
+                            for p in primes) for g in range(n)]
+        try:
+            return CoverMap(P, DeckGroup(primes), assignment)
+        except ValueError:
+            continue
+
+
+class TestRSAgainstTupleStepping:
+    """The coset-table rewriting gives exactly the presentation and
+    transversal of the tuple-stepping oracle."""
+
+    def assert_same(self, cm):
+        new = reidemeister_schreier(cm, max_index=1331)
+        old = tuple_step_rs(cm)
+        assert (new.presentation.generator_names
+                == old.presentation.generator_names)
+        assert new.presentation.relators == old.presentation.relators
+        assert new.transversal == old.transversal
+
+    def test_corpus_free_abelian_covers(self):
+        count = 0
+        for entry in entries():
+            rank = abelianize(entry.presentation).rank
+            for tup in _cover_prime_tuples(rank, 1331):
+                self.assert_same(free_abelian_cover(entry.presentation, tup))
+                count += 1
+        assert count >= 40
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_corpus_mod_p_covers(self, p):
+        count = 0
+        for entry in entries():
+            if mod_p_betti(entry.presentation, p) == 0:
+                continue
+            cm = mod_p_cover(entry.presentation, p)
+            if cm.deck.order <= 1331:
+                self.assert_same(cm)
+                count += 1
+        assert count >= 8
+
+    def test_random_cover_maps(self):
+        rng = random.Random(10)
+        mixed = 0
+        for _ in range(60):
+            cm = random_cover_map(rng)
+            assert any(not any(img) for img in cm.assignment)
+            mixed += len(set(cm.deck.primes)) > 1
+            self.assert_same(cm)
+        assert mixed >= 10
 
 
 class TestCoverHomology:
