@@ -11,7 +11,6 @@ elimination, whose divisions are exact in Z[zeta_m].
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from math import gcd, lcm, prod
 
 
@@ -45,15 +44,16 @@ def galois_orbits(primes):
     A character with exponents e has squarefree order m, and a in (Z/m)^x
     sends it to a*e, scaling the entries of each prime independently.  So
     the orbit has phi(m) members, and its least in product order is the
-    one whose first nonzero entry for each prime is 1.
+    one whose first nonzero entry for each prime is 1: built position by
+    position, a prime with no nonzero entry yet takes 0 or 1.
     """
-    for exps in product(*(range(p) for p in primes)):
-        lead = {}
-        for e, p in zip(exps, primes):
-            if e:
-                lead.setdefault(p, e)
-        if all(e == 1 for e in lead.values()):
-            yield exps, prod(lead), prod(p - 1 for p in lead)
+    reps = [((), frozenset())]  # (exponents, primes with a nonzero entry)
+    for p in primes:
+        reps = [(exps + (e,), lead | {p} if e else lead)
+                for exps, lead in reps
+                for e in (range(p) if p in lead else (0, 1))]
+    for exps, lead in reps:
+        yield exps, prod(lead), prod(p - 1 for p in lead)
 
 
 def character_evaluation(primes, exponents, m):
@@ -176,9 +176,6 @@ class CyclotomicField:
     def reduce(self, coeffs):
         """The element sum c_k * zeta^k of the integer list coeffs."""
         return tuple(_fold(list(coeffs), self.m))
-
-    def from_int(self, c):
-        return (c,) + self.zero[1:]
 
     def is_zero(self, a):
         return not any(a)

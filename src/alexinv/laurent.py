@@ -260,23 +260,6 @@ def normalize(f):
     return g
 
 
-def unit_quotient(f, g):
-    """The MonomialUnit u with f == u * g, or None if f, g are not associates."""
-    if f.arity != g.arity:
-        raise ValueError("arity mismatch")
-    if f.is_zero() or g.is_zero():
-        return None
-    if len(f.terms) != len(g.terms):
-        return None
-    ef, cf = min(f.terms.items())
-    eg = min(g.terms)
-    shift = tuple(a - b for a, b in zip(ef, eg))
-    for sign in (1, -1):
-        if f == sign * g.shift(shift):
-            return MonomialUnit(sign, shift)
-    return None
-
-
 @dataclass(frozen=True)
 class MonomialUnit:
     """A unit +-t^I of the Laurent ring."""

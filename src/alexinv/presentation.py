@@ -379,12 +379,19 @@ def _eliminate_units(A, is_unit, inverse, modulus=None):
     {column: nonzero entry}.  A row of A is a sequence of ring entries or a
     dict {column: entry}; with a modulus, entries are integers mod a prime.
 
-    Each step takes a unit entry of least Markowitz cost (row nonzeros - 1)
-    * (column nonzeros - 1), ties broken by original row and then column,
-    clears its column with row operations through ``inverse`` and drops
-    its row and column, and any row that became zero.  The units wait in a
-    heap keyed by (cost, row, column); an entry is queued again whenever
-    its row or column changes length, and a stale entry is skipped.
+    Each step takes the unit entry of least Markowitz cost (row nonzeros
+    - 1) * (column nonzeros - 1), ties broken by original row and then
+    column, clears its column with row operations through ``inverse`` and
+    drops its row and column, and any row that became zero.  The units
+    wait in a heap of (key, row, column), and every unit has an item whose
+    key is at most its current cost.  A popped unit that has been cleared
+    is dropped, one whose cost grew is pushed back at its cost, and one
+    whose key is its cost is the pivot: every other unit has an item no
+    less than the popped one and a cost at least that item's key, so the
+    pivot is the least (cost, row, column), the one a rescan would take.
+    After a pivot only costs that fell are pushed: the units of an
+    updated row that got shorter, new units, and the units of a column
+    that ended shorter than before the step.
     """
     rows = {}
     cols = {}  # column -> indices of the rows holding it
@@ -397,7 +404,7 @@ def _eliminate_units(A, is_unit, inverse, modulus=None):
             rows[i] = entries
             for j in entries:
                 cols.setdefault(j, set()).add(i)
-    heap = []  # (cost, row, column)
+    heap = []  # (key, row, column), key <= cost
 
     def queue(i, columns):
         row = rows[i]
@@ -409,39 +416,52 @@ def _eliminate_units(A, is_unit, inverse, modulus=None):
         queue(i, row)
     pivots = []
     while heap:
-        cost, i, j = heappop(heap)
+        key, i, j = heappop(heap)
         row = rows.get(i)
-        if row is None or j not in row or not is_unit(row[j]) or \
-                cost != (len(row) - 1) * (len(cols[j]) - 1):
-            continue  # cleared, or its row or column changed since
+        if row is None or j not in row or not is_unit(row[j]):
+            continue  # cleared since
+        cost = (len(row) - 1) * (len(cols[j]) - 1)
+        if cost != key:
+            heappush(heap, (cost, i, j))  # grew since
+            continue
         pivot = rows.pop(i)
+        before = {c: len(cols[c]) for c in pivot}
         for c in pivot:
             cols[c].discard(i)
         inv = inverse(pivot.pop(j))
-        changed = cols.pop(j)
-        for r in changed:
+        shorter, fresh = set(), []  # fresh: new entries, or maybe new units
+        for r in cols.pop(j):
             # row_r -= (a * inv) * pivot clears (r, j)
             row = rows[r]
+            n = len(row)
             f = row.pop(j) * inv
             for c, x in pivot.items():
-                y = row.get(c, 0) - f * x
+                old = row.get(c, 0)
+                y = old - f * x
                 if modulus is not None:
                     y %= modulus
                 if y:
-                    if c not in row:
+                    if not old:
                         cols[c].add(r)
+                    if not (old and is_unit(old)):
+                        fresh.append((r, c))
                     row[c] = y
                 else:
                     del row[c]
                     cols[c].discard(r)
-            if row:
-                queue(r, row)
-            else:
+            if not row:
                 del rows[r]
-        # the pivot row's columns changed length: requeue their entries
-        for c in pivot:
-            for r in cols[c] - changed:
+            elif len(row) < n:
+                shorter.add(r)
+        for r in shorter:  # queued at the lengths the whole step leaves
+            queue(r, rows[r])
+        for r, c in fresh:
+            if r not in shorter:
                 queue(r, (c,))
+        for c in pivot:  # units of the columns that ended shorter
+            if len(cols[c]) < before[c]:
+                for r in cols[c] - shorter:
+                    queue(r, (c,))
         pivots.append(j)
     return pivots, list(rows.values())
 

@@ -4,24 +4,28 @@ These deliberately avoid the code paths they are used to check: integer
 determinants come from Bareiss elimination on plain int lists, Smith
 invariant factors from gcd-of-minors ratios, ranks over F_p from dense
 Gauss-Jordan elimination, Laurent determinants from cofactor expansion,
-unit reduction from a full rescan for each pivot, unit symmetry of
+unit elimination over Z, F_p and the Laurent ring from a full rescan
+for each pivot, Galois orbit representatives from every exponent vector,
+associates from a shift and a sign, unit symmetry of
 one-variable polynomials from a palindrome test on dense coefficient
 lists, root-of-unity norms from a product in the group ring,
 inverses and norms in Q(zeta_m) from a Euclid over Q in Fractions, and
 Reidemeister-Schreier rewriting by stepping a coset tuple per letter.
 """
 
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, product, zip_longest
 from math import gcd as int_gcd
+from math import prod
 
 import pytest
 
 import alexinv.laurent
 from alexinv.covers import CoverPresentation
 from alexinv.cyclotomic import cyclotomic_polynomial
-from alexinv.laurent import LaurentPoly
+from alexinv.laurent import LaurentPoly, MonomialUnit
 from alexinv.presentation import Presentation, reduce_word
 
 
@@ -167,36 +171,88 @@ def cofactor_det(rows, arity):
     return total
 
 
-def rescan_unit_reduce(rows, ncols):
-    """Unit reduction of a Laurent matrix by a full rescan at every step:
-    the unit of least Markowitz cost, first in row order and then in
-    column order, clears its column with multiples of its row and loses
-    its row and column; zero rows are dropped.  Returns the rows left, on
-    the other columns in order, and the number of units cleared."""
-    rows = [list(row) for row in rows if any(row)]
-    k = 0
+def rescan_eliminate(rows, is_unit, inverse, modulus=None):
+    """Unit elimination by a full rescan at every step, over any ring with
+    these ``is_unit`` and ``inverse`` (integers mod ``modulus`` if given):
+    the unit of least Markowitz cost (row nonzeros - 1) * (column nonzeros
+    - 1), first in row order and then in column order, clears its column
+    with multiples of its row and loses its row; zero rows are dropped.
+    Returns the pivot columns in order and the rows left, in their order,
+    as dicts {column: nonzero entry}."""
+    live = []
+    for row in rows:
+        pairs = row.items() if isinstance(row, dict) else enumerate(row)
+        entries = {j: x if modulus is None else x % modulus for j, x in pairs}
+        live.append({j: x for j, x in entries.items() if x})
+    live = [row for row in live if row]
+    pivots = []
     while True:
-        col_counts = [sum(1 for row in rows if row[j]) for j in range(ncols)]
-        best = None
-        for i, row in enumerate(rows):
-            row_count = sum(1 for e in row if e)
-            for j, e in enumerate(row):
-                if e.is_unit():
-                    cost = (row_count - 1) * (col_counts[j] - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, i, j)
-        if best is None:
-            return rows, k
-        _, i, j = best
-        pivot = rows.pop(i)
-        inv = pivot[j] ** -1
-        for r, row in enumerate(rows):
-            if row[j]:
+        col_counts = Counter(j for row in live for j in row)
+        units = [((len(row) - 1) * (col_counts[j] - 1), i, j)
+                 for i, row in enumerate(live)
+                 for j, e in row.items() if is_unit(e)]
+        if not units:
+            return pivots, live
+        _, i, j = min(units)
+        pivot = live.pop(i)
+        inv = inverse(pivot[j])
+        for r, row in enumerate(live):
+            if j in row:
                 f = row[j] * inv
-                rows[r] = [a - f * b if b else a for a, b in zip(row, pivot)]
-        rows = [row[:j] + row[j + 1:] for row in rows if any(row)]
-        ncols -= 1
-        k += 1
+                new = dict(row)
+                for c, x in pivot.items():
+                    y = row.get(c, 0) - f * x
+                    if modulus is not None:
+                        y %= modulus
+                    new[c] = y
+                live[r] = {c: y for c, y in new.items() if y}
+        live = [row for row in live if row]
+        pivots.append(j)
+
+
+def rescan_unit_reduce(rows, ncols):
+    """Unit reduction of a Laurent matrix by :func:`rescan_eliminate`.
+    Returns the rows left, on the other columns in order, and the number
+    of units cleared."""
+    pivots, rest = rescan_eliminate(rows, LaurentPoly.is_unit,
+                                    lambda u: u ** -1)
+    live = [j for j in range(ncols) if j not in pivots]
+
+    def dense(row):
+        zero = LaurentPoly.zero(next(iter(row.values())).arity)
+        return [row.get(j, zero) for j in live]
+    return [dense(row) for row in rest], len(pivots)
+
+
+def product_galois_orbits(primes):
+    """Galois orbits of the characters of the sum of the Z/p_i as
+    ``cyclotomic.galois_orbits`` yields them, by visiting every exponent
+    vector in product order and keeping those whose first nonzero entry
+    for each prime is 1."""
+    for exps in product(*(range(p) for p in primes)):
+        lead = {}
+        for e, p in zip(exps, primes):
+            if e:
+                lead.setdefault(p, e)
+        if all(e == 1 for e in lead.values()):
+            yield exps, prod(lead), prod(p - 1 for p in lead)
+
+
+def unit_quotient(f, g):
+    """The MonomialUnit u with f == u * g, or None if f, g are not associates."""
+    if f.arity != g.arity:
+        raise ValueError("arity mismatch")
+    if f.is_zero() or g.is_zero():
+        return None
+    if len(f.terms) != len(g.terms):
+        return None
+    ef, cf = min(f.terms.items())
+    eg = min(g.terms)
+    shift = tuple(a - b for a, b in zip(ef, eg))
+    for sign in (1, -1):
+        if f == sign * g.shift(shift):
+            return MonomialUnit(sign, shift)
+    return None
 
 
 def group_ring_norm(f, primes):

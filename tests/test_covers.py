@@ -7,6 +7,7 @@ from math import gcd, lcm, prod
 import pytest
 
 import alexinv.cyclotomic
+from alexinv import presentation
 from alexinv.alexander import AlexanderMatrix, fox_alexander_matrix
 from alexinv.corpus import entries, get, mapping_torus
 from alexinv.covers import (Character, CoverIndexError, CoverMap, DeckGroup,
@@ -16,13 +17,14 @@ from alexinv.covers import (Character, CoverIndexError, CoverMap, DeckGroup,
                             reidemeister_schreier, shalen_wagreich_check,
                             verify_torsion_cover_formula)
 from alexinv.cyclotomic import (CyclotomicField, bareiss_rank,
-                                cyclotomic_norm, cyclotomic_polynomial)
+                                cyclotomic_norm, cyclotomic_polynomial,
+                                galois_orbits)
 from alexinv.laurent import LaurentPoly, parse_poly
 from alexinv.presentation import (Presentation, abelianize, inverse_word,
                                   parse_presentation)
 from alexinv.verify import _cover_prime_tuples, random_matrix
-from conftest import (fraction_euclid, int_det, mat_pow, root_power,
-                      tuple_step_rs)
+from conftest import (fraction_euclid, int_det, mat_pow,
+                      product_galois_orbits, root_power, tuple_step_rs)
 
 T3 = parse_presentation("<x,y,z | [x,y], [x,z], [y,z]>")
 HEIS = parse_presentation("<x, y, z | Z*[x,y], [x,z], [y,z]>")
@@ -60,8 +62,8 @@ class TestCyclotomic:
 
     def test_divexact(self):
         fld = CyclotomicField(5)
-        a = fld.add(root_power(fld, 1), fld.from_int(2))
-        b = fld.sub(root_power(fld, 3), fld.from_int(4))
+        a = fld.add(root_power(fld, 1), fld.reduce([2]))
+        b = fld.sub(root_power(fld, 3), fld.reduce([4]))
         assert fld.times_inverse(fld.mul(a, b), fld.inverse(b)) == a
 
     def test_inverse(self):
@@ -77,7 +79,7 @@ class TestCyclotomic:
         for _ in range(25):
             m, n = rng.randint(1, 4), rng.randint(1, 4)
             A = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-            rows = [[fld.from_int(x) for x in row] for row in A]
+            rows = [[fld.reduce([x]) for x in row] for row in A]
             # oracle: rank = largest k with a nonzero k x k minor
             oracle = 0
             for k in range(1, min(m, n) + 1):
@@ -107,7 +109,7 @@ class TestCyclotomicEuclid:
                     coeffs[rng.randrange(m)] = rng.randint(-5, 5)
                 a = fld.zero
                 for k, c in enumerate(coeffs):
-                    a = fld.add(a, fld.mul(fld.from_int(c),
+                    a = fld.add(a, fld.mul(fld.reduce([c]),
                                            root_power(fld, k)))
                 # columns a * zeta^j in the power basis
                 columns = [fld.mul(a, root_power(fld, j))
@@ -117,7 +119,7 @@ class TestCyclotomicEuclid:
                 if not fld.is_zero(a):
                     s, c = fld.inverse(a)
                     assert c > 0 and gcd(c, *s) == 1
-                    assert fld.mul(a, s) == fld.from_int(c)
+                    assert fld.mul(a, s) == fld.reduce([c])
 
     def test_norm_of_zero(self):
         for m in self.MODULI:
@@ -233,7 +235,7 @@ class TestEuclidDifferential:
                 else:
                     s, c = fld.inverse(b)
                     assert c > 0 and gcd(c, *s) == 1
-                    assert fld.mul(b, s) == fld.from_int(c), (m, a)
+                    assert fld.mul(b, s) == fld.reduce([c]), (m, a)
                     want = fraction_euclid(m, a, cofactor=True)
                     while want and not want[-1]:
                         want.pop()
@@ -341,6 +343,15 @@ def same_cyclic_group(exps, primes):
 
 
 class TestCharacterOrbits:
+    @pytest.mark.parametrize("primes", [
+        (), (3,), (2, 3, 2), (5, 5), (11, 11, 11), (2, 3, 5, 7),
+        (3, 2, 3, 2), (2, 2, 3, 3), (5, 2, 5, 3, 2)])
+    def test_galois_orbits_match_product_scan(self, primes):
+        """Representatives built position by position against the scan of
+        every exponent vector: same (exponents, m, size), same order."""
+        assert list(galois_orbits(primes)) == \
+            list(product_galois_orbits(primes))
+
     @pytest.mark.parametrize("primes", [(2, 3), (5, 5), (3, 3, 3),
                                         (2, 3, 5), (3, 2, 3), (2, 2, 3, 3)])
     def test_orbits_partition_with_constant_rank(self, primes):
@@ -587,6 +598,26 @@ class TestCoverHomology:
         ("heisenberg", (7, 7)), ("heisenberg", (11, 11))])
     def test_large_covers(self, name, primes):
         self.check(get(name).presentation, primes)
+
+    def test_heap_work_guard(self, monkeypatch):
+        """Heap pops of the unit kernel on the heisenberg (31, 31) cover, a
+        count rather than a time: requeueing every entry of every column
+        the pivot row touched took 128,413 pops here, lower-bound keys
+        about 33,000."""
+        pops = 0
+        real = presentation.heappop
+
+        def counting(heap):
+            nonlocal pops
+            pops += 1
+            return real(heap)
+        monkeypatch.setattr(presentation, "heappop", counting)
+        cp = reidemeister_schreier(
+            free_abelian_cover(get("heisenberg").presentation, (31, 31)),
+            max_index=961)
+        hom = cover_homology(cp)
+        assert (hom.rank, hom.torsion) == (2, (961,))
+        assert 0 < pops < 50_000, pops
 
 
 class TestTorsionCoverFormula:

@@ -11,8 +11,9 @@ import alexinv.laurent
 from alexinv.laurent import (LaurentPoly, MonomialUnit, ParseError, Symmetry,
                              classify_symmetry, divide_exact, format_poly,
                              gcd, gcd_list, involution, normalize, parse_poly,
-                             root_of_unity_norm, trace, unit_quotient)
-from conftest import group_ring_norm, int_det, mat_pow, prs_fallbacks
+                             root_of_unity_norm, trace)
+from conftest import (group_ring_norm, int_det, mat_pow, prs_fallbacks,
+                      unit_quotient)
 
 t = LaurentPoly.variable(0, 1)
 

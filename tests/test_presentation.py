@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alexinv import corpus, presentation
+from alexinv.covers import free_abelian_cover, reidemeister_schreier
 from alexinv.laurent import LaurentPoly, ParseError, parse_poly
 from alexinv.presentation import (FreeGroupRingElement, Presentation,
                                   abelianize, concat, fox_derivative,
@@ -12,7 +13,8 @@ from alexinv.presentation import (FreeGroupRingElement, Presentation,
                                   parse_presentation, reduce_word,
                                   smith_invariants, smith_normal_form,
                                   word_power)
-from conftest import dense_mod_p_rank, int_det, smith_factors_oracle
+from conftest import (dense_mod_p_rank, int_det, rescan_eliminate,
+                      smith_factors_oracle)
 
 
 def random_word(rng, n, max_len):
@@ -205,6 +207,59 @@ class TestSmithInvariants:
                     any(not any(col) for col in zip(*A)):
                 seen["zero row or column"] += 1
         assert min(seen.values()) >= 50, seen
+
+
+class TestEliminateUnits:
+    """The heap kernel against the full rescan of every unit at every
+    step: the same pivots in the same order and the same rows left, over
+    Z and over F_7 and F_11, as its callers use it."""
+
+    RINGS = [({1, -1}.__contains__, int, None)] + [
+        (bool, lambda s, p=p: pow(s, -1, p), p) for p in (7, 11)]
+
+    @staticmethod
+    def random_rows(rng):
+        """A sparse matrix with entries in {+-1, +-2}; some rows copy an
+        earlier row with an entry or two redrawn, so that eliminating
+        one against the other cancels, and the rest fill in."""
+        m, n = rng.randint(2, 10), rng.randint(2, 10)
+        density = rng.uniform(0.2, 0.6)
+
+        def draw():
+            return rng.choice((1, -1, 2, -2)) if rng.random() < density \
+                else 0
+        rows = []
+        for _ in range(m):
+            if rows and rng.random() < 0.3:
+                row = list(rng.choice(rows))
+                for _ in range(rng.randint(1, 2)):
+                    row[rng.randrange(n)] = draw()
+            else:
+                row = [draw() for _ in range(n)]
+            rows.append(row)
+        return rows
+
+    def cases(self):
+        for name, primes in [("heisenberg", (7, 7)), ("heisenberg", (11, 11)),
+                             ("t3", (5, 5, 5)), ("mapping-torus-A", (31,)),
+                             ("mapping-torus-A", (127,))]:
+            cp = reidemeister_schreier(
+                free_abelian_cover(corpus.get(name).presentation, primes))
+            rows = cp.presentation.exponent_rows()
+            for ring in self.RINGS:
+                yield rows, ring
+        rng = random.Random(11)
+        for _ in range(240):
+            yield self.random_rows(rng), self.RINGS[0]
+
+    def test_same_pivots_and_rows_as_rescan(self):
+        several = 0
+        for rows, (is_unit, inverse, modulus) in self.cases():
+            got = presentation._eliminate_units(rows, is_unit, inverse,
+                                                modulus)
+            assert got == rescan_eliminate(rows, is_unit, inverse, modulus)
+            several += len(got[0]) >= 3
+        assert several >= 50
 
 
 class TestAbelianize:
