@@ -24,8 +24,8 @@ from .laurent import (LaurentPoly, MonomialUnit, ParseError, Symmetry,
                       format_poly, gcd, involution, normalize, parse_poly,
                       root_of_unity_norm, trace)
 from .presentation import (AbelianizationData, Presentation,
-                           SmithDecomposition, abelianize, fox_derivative,
-                           fox_matrix, parse_presentation, reduce_word,
-                           smith_invariants, smith_normal_form)
+                           SmithDecomposition, abelianize, fox_matrix,
+                           parse_presentation, reduce_word, smith_invariants,
+                           smith_normal_form)
 
 __version__ = "0.1.0"

@@ -76,7 +76,10 @@ def det(rows, arity):
     step k replaces each entry below and right of the pivot by the 2 x 2
     minor with the pivot, divided exactly by the previous pivot (Sylvester's
     identity makes the division exact).  The pivot is the entry of column k
-    with fewest terms, a row swap away; with none, the determinant is 0."""
+    with fewest terms, a row swap away; with none, the determinant is 0.
+    A zero row or column gives 0 before any row is copied."""
+    if not all(map(any, rows)) or not all(map(any, zip(*rows))):
+        return LaurentPoly.zero(arity)
     M = [list(row) for row in rows]
     scale = LaurentPoly.one(arity)
     while M:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import add
+from operator import add, mul
 from types import MappingProxyType
 
 from .cyclotomic import character_evaluation, cyclotomic_norm, galois_orbits
@@ -42,7 +42,9 @@ class LaurentPoly:
 
     Stored as a finite map from exponent vectors (tuples of n ints) to
     nonzero integer coefficients; the zero polynomial is the empty map.
-    Instances are immutable; all operations return new polynomials.
+    Instances are immutable, so an operation may return an operand that it
+    leaves unchanged (a shift by the zero vector returns the polynomial
+    itself).
 
     >>> t = LaurentPoly.variable(0, 1)
     >>> print((t - 1) * (t + 1))
@@ -68,6 +70,20 @@ class LaurentPoly:
                     del clean[exps]
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "terms", MappingProxyType(clean))
+
+    @classmethod
+    def _own(cls, arity, terms):
+        """Wrap a dict this package built, with no per-term check.
+
+        The caller guarantees what ``__init__`` would establish: every key
+        is a tuple of ``arity`` ints, no value is 0, and ``arity >= 1``.  The
+        dict is taken over, not copied, so the caller must not keep or
+        change it.  Input from anywhere else goes through the validating
+        ``LaurentPoly(arity, terms)``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "terms", MappingProxyType(terms))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -114,9 +130,8 @@ class LaurentPoly:
         """Per-variable (min, max) exponents over the support; None if zero."""
         if not self.terms:
             return None
-        lo = [min(e[i] for e in self.terms) for i in range(self.arity)]
-        hi = [max(e[i] for e in self.terms) for i in range(self.arity)]
-        return tuple(lo), tuple(hi)
+        cols = tuple(zip(*self.terms))
+        return tuple(map(min, cols)), tuple(map(max, cols))
 
     def degree_span(self):
         """Sum over variables of (max - min) exponent; 0 for constants."""
@@ -144,14 +159,18 @@ class LaurentPoly:
             return NotImplemented
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, 0) + coeff
-        return LaurentPoly(self.arity, terms)
+            coeff += terms.get(exps, 0)
+            if coeff:
+                terms[exps] = coeff
+            else:
+                del terms[exps]
+        return LaurentPoly._own(self.arity, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.arity,
-                           {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._own(self.arity,
+                                {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -172,7 +191,8 @@ class LaurentPoly:
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
                 terms[e] = get(e, 0) + c1 * c2
-        return LaurentPoly(self.arity, terms)
+        return LaurentPoly._own(self.arity,
+                                {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -181,9 +201,9 @@ class LaurentPoly:
             if not self.is_unit():
                 raise ValueError("negative power of a non-unit")
             (exps, coeff), = self.terms.items()
-            return LaurentPoly(self.arity,
-                               {tuple(n * e for e in exps):
-                                coeff if n % 2 else 1})
+            return LaurentPoly._own(self.arity,
+                                    {tuple(n * e for e in exps):
+                                     coeff if n % 2 else 1})
         result = LaurentPoly.one(self.arity)
         base = self
         while n:
@@ -194,11 +214,16 @@ class LaurentPoly:
         return result
 
     def shift(self, exps):
-        """Multiply by the monomial t^exps."""
+        """Multiply by the monomial t^exps; the zero shift returns self."""
         exps = tuple(exps)
-        return LaurentPoly(self.arity,
-                           {tuple(a + b for a, b in zip(e, exps)): c
-                            for e, c in self.terms.items()})
+        if len(exps) != self.arity:
+            raise ValueError("shift %r has length %d, expected %d"
+                             % (exps, len(exps), self.arity))
+        if not any(exps):
+            return self
+        return LaurentPoly._own(self.arity,
+                                {tuple(map(add, e, exps)): c
+                                 for e, c in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -229,8 +254,8 @@ def involution(f):
     >>> print(involution(t**2 - 4*t + 1))
     1 - 4*t^-1 + t^-2
     """
-    return LaurentPoly(f.arity, {tuple(-x for x in e): c
-                                 for e, c in f.terms.items()})
+    return LaurentPoly._own(f.arity, {tuple(-x for x in e): c
+                                      for e, c in f.terms.items()})
 
 
 def trace(f):
@@ -413,8 +438,11 @@ def _pack(f, strides, nslots, width):
     """sum of c * 2^(width * index(e)); width is a multiple of 8."""
     nb = width // 8
     pos, neg = bytearray(nslots * nb), bytearray(nslots * nb)
-    for e, c in f.items():
-        i = nb * sum(x * s for x, s in zip(e, strides))
+    if len(strides) == 1:
+        offsets = [nb * e[0] for e in f]
+    else:
+        offsets = [nb * sum(map(mul, e, strides)) for e in f]
+    for i, c in zip(offsets, f.values()):
         if c > 0:
             pos[i:i + nb] = c.to_bytes(nb, "little")
         else:
@@ -504,7 +532,7 @@ def divide_exact(f, g):
     if q is None:
         return None
     shift = tuple(a - b for a, b in zip(flo, glo))
-    return LaurentPoly(f.arity, q).shift(shift)
+    return LaurentPoly._own(f.arity, q).shift(shift)
 
 
 def _main_degree(f, n):
@@ -700,7 +728,7 @@ def gcd(f, g):
     d = _heu_gcd(a, b, n)
     if d is None:
         d = _dict_gcd(a, b, n)
-    return normalize(LaurentPoly(n, d))
+    return normalize(LaurentPoly._own(n, d))
 
 
 def gcd_list(polys, arity):

@@ -528,78 +528,6 @@ def mod_p_rank(A, p):
 # Fox calculus.
 # ----------------------------------------------------------------------
 
-class FreeGroupRingElement:
-    """Integer linear combination of freely reduced words."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for word, coeff in (terms or {}).items():
-            word = reduce_word(word)
-            if coeff:
-                clean[word] = clean.get(word, 0) + coeff
-                if not clean[word]:
-                    del clean[word]
-        self.terms = clean
-
-    @classmethod
-    def from_word(cls, word, coeff=1):
-        return cls({tuple(word): coeff})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0) + c
-        return FreeGroupRingElement(terms)
-
-    def __sub__(self, other):
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0) - c
-        return FreeGroupRingElement(terms)
-
-    def __neg__(self):
-        return FreeGroupRingElement({w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        terms = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = reduce_word(w1 + w2)
-                terms[w] = terms.get(w, 0) + c1 * c2
-        return FreeGroupRingElement(terms)
-
-    def __eq__(self, other):
-        return isinstance(other, FreeGroupRingElement) and \
-            self.terms == other.terms
-
-    def __repr__(self):
-        return "FreeGroupRingElement(%r)" % (self.terms,)
-
-
-def fox_derivative(word, gen):
-    """The free derivative of a word with respect to generator ``gen``.
-
-    Characterized by d(x)/dx = 1, d(x^-1)/dx = -x^-1, d(y)/dx = 0 for
-    y != x, and the product rule d(uv)/dx = du/dx + u * dv/dx.
-    """
-    terms = {}
-    prefix = ()
-    for g, s in word:
-        if g == gen:
-            if s > 0:
-                key = prefix
-            else:
-                key = reduce_word(prefix + ((g, -1),))
-            terms[key] = terms.get(key, 0) + s
-        prefix = reduce_word(prefix + ((g, s),))
-    return FreeGroupRingElement(terms)
-
-
 def fox_matrix(P, ab=None):
     """Relator-by-generator matrix of abelianized Fox derivatives.
 
@@ -607,7 +535,8 @@ def fox_matrix(P, ab=None):
     rank-many variables.  Requires free rank >= 1.  Each relator is read
     once, tracking the image e of the prefix in Z^rank: a letter x_j adds
     t^e to entry j, a letter x_j^-1 adds -t^(e - img x_j).  This is the
-    product rule of :func:`fox_derivative` pushed through abelianization.
+    product rule d(uv)/dx = du/dx + u dv/dx of the free derivative pushed
+    through abelianization.
     """
     if ab is None:
         ab = abelianize(P)
@@ -622,5 +551,7 @@ def fox_matrix(P, ab=None):
             key = e if s > 0 else after
             terms[g][key] = terms[g].get(key, 0) + s
             e = after
-        rows.append(tuple(LaurentPoly(ab.rank, t) for t in terms))
+        rows.append(tuple(
+            LaurentPoly._own(ab.rank, {k: c for k, c in t.items() if c})
+            for t in terms))
     return tuple(rows)

@@ -9,8 +9,10 @@ for each pivot, Galois orbit representatives from every exponent vector,
 associates from a shift and a sign, unit symmetry of
 one-variable polynomials from a palindrome test on dense coefficient
 lists, root-of-unity norms from a product in the group ring,
-inverses and norms in Q(zeta_m) from a Euclid over Q in Fractions, and
-Reidemeister-Schreier rewriting by stepping a coset tuple per letter.
+inverses and norms in Q(zeta_m) from a Euclid over Q in Fractions,
+Reidemeister-Schreier rewriting by stepping a coset tuple per letter,
+Kronecker packing slot by slot, and Fox derivatives in the free group
+ring itself, before abelianization.
 """
 
 from collections import Counter
@@ -358,6 +360,101 @@ def fraction_euclid(m, a, cofactor):
     if cofactor:
         return [x / g[0] for x in s1]
     return res * g[0] ** (len(f) - 1) if g else Fraction(0)
+
+
+def assert_well_formed(f):
+    """f holds what the validating constructor makes of its own terms:
+    int exponent tuples of length arity and no zero coefficient."""
+    assert all(type(e) is tuple and len(e) == f.arity
+               and all(type(x) is int for x in e) for e in f.terms)
+    assert all(f.terms.values())
+    assert f == LaurentPoly(f.arity, dict(f.terms))
+
+
+def pack_per_term(f, strides, nslots, width):
+    """``laurent._pack`` with each slot index summed term by term:
+    sum of c * 2^(width * index(e)); width is a multiple of 8."""
+    nb = width // 8
+    pos, neg = bytearray(nslots * nb), bytearray(nslots * nb)
+    for e, c in f.items():
+        i = nb * sum(x * s for x, s in zip(e, strides))
+        if c > 0:
+            pos[i:i + nb] = c.to_bytes(nb, "little")
+        else:
+            neg[i:i + nb] = (-c).to_bytes(nb, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+class FreeGroupRingElement:
+    """Integer linear combination of freely reduced words."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        clean = {}
+        for word, coeff in (terms or {}).items():
+            word = reduce_word(word)
+            if coeff:
+                clean[word] = clean.get(word, 0) + coeff
+                if not clean[word]:
+                    del clean[word]
+        self.terms = clean
+
+    @classmethod
+    def from_word(cls, word, coeff=1):
+        return cls({tuple(word): coeff})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for w, c in other.terms.items():
+            terms[w] = terms.get(w, 0) + c
+        return FreeGroupRingElement(terms)
+
+    def __sub__(self, other):
+        terms = dict(self.terms)
+        for w, c in other.terms.items():
+            terms[w] = terms.get(w, 0) - c
+        return FreeGroupRingElement(terms)
+
+    def __neg__(self):
+        return FreeGroupRingElement({w: -c for w, c in self.terms.items()})
+
+    def __mul__(self, other):
+        terms = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                w = reduce_word(w1 + w2)
+                terms[w] = terms.get(w, 0) + c1 * c2
+        return FreeGroupRingElement(terms)
+
+    def __eq__(self, other):
+        return isinstance(other, FreeGroupRingElement) and \
+            self.terms == other.terms
+
+    def __repr__(self):
+        return "FreeGroupRingElement(%r)" % (self.terms,)
+
+
+def fox_derivative(word, gen):
+    """The free derivative of a word with respect to generator ``gen``.
+
+    Characterized by d(x)/dx = 1, d(x^-1)/dx = -x^-1, d(y)/dx = 0 for
+    y != x, and the product rule d(uv)/dx = du/dx + u * dv/dx.
+    """
+    terms = {}
+    prefix = ()
+    for g, s in word:
+        if g == gen:
+            if s > 0:
+                key = prefix
+            else:
+                key = reduce_word(prefix + ((g, -1),))
+            terms[key] = terms.get(key, 0) + s
+        prefix = reduce_word(prefix + ((g, s),))
+    return FreeGroupRingElement(terms)
 
 
 def tuple_step_rs(cm):

@@ -13,12 +13,12 @@ from alexinv.alexander import full_report
 from alexinv.covers import shalen_wagreich_check, verify_torsion_cover_formula
 from alexinv.laurent import (LaurentPoly, Symmetry, classify_symmetry,
                              divide_exact, gcd, normalize, parse_poly, trace)
-from alexinv.presentation import (FreeGroupRingElement, fox_derivative,
-                                  reduce_word, smith_normal_form)
+from alexinv.presentation import reduce_word, smith_normal_form
 from alexinv.verify import (random_poly, run_b1_one_characterization,
                             run_blanchfield, run_b1_ge_4, run_hironaka,
                             run_levine)
-from conftest import smith_factors_oracle
+from conftest import (FreeGroupRingElement, fox_derivative,
+                      smith_factors_oracle)
 
 t = LaurentPoly.variable(0, 1)
 

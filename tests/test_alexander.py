@@ -4,6 +4,7 @@ import time
 import pytest
 
 import alexinv.alexander
+import alexinv.laurent
 from alexinv import corpus
 from alexinv.alexander import (AlexanderMatrix, LevineHypothesisError,
                                MinorBudgetError, alexander_polynomial,
@@ -64,6 +65,27 @@ class TestMinors:
             singular += want.is_zero()
             assert det(rows, arity) == want
         assert zero_pivots >= 20 and singular >= 10
+
+    def test_det_zero_row_or_column_skips_elimination(self, monkeypatch):
+        def refuse(f, g):
+            raise AssertionError("divide_exact called on a singular matrix")
+
+        monkeypatch.setattr(alexinv.alexander, "divide_exact", refuse)
+        monkeypatch.setattr(alexinv.laurent, "divide_exact", refuse)
+        rng = random.Random(43)
+        for case in range(60):
+            n = rng.randint(2, 5)
+            arity = rng.randint(1, 2)
+            rows = [list(r) for r in random_matrix(rng, n, n, arity).rows]
+            zero = LaurentPoly.zero(arity)
+            k = rng.randrange(n)
+            if case % 2:
+                rows[k] = [zero] * n
+            else:
+                for row in rows:
+                    row[k] = zero
+            assert det(rows, arity).is_zero()
+            assert cofactor_det(rows, arity).is_zero()
 
     def test_det_swaps_rows_on_zero_pivot(self):
         zero, one = LaurentPoly.zero(1), LaurentPoly.one(1)
@@ -400,6 +422,21 @@ class TestFullReport:
         rep = full_report(parse_presentation("<x1, x2 | >"))
         assert rep.symmetry is None and rep.trace is None
         assert rep.checks == {"delta_is_zero": True}
+
+    def test_internal_results_skip_validation(self, monkeypatch):
+        # 9,017 terms went through the validating constructor when every
+        # internal result did; the few left are constants like det's 1
+        validate = LaurentPoly.__init__
+        validated = []
+
+        def counting(self, arity, terms=None):
+            validated.append(len(terms or {}))
+            validate(self, arity, terms)
+
+        monkeypatch.setattr(LaurentPoly, "__init__", counting)
+        report = full_report(parse_presentation("<x, y | x^1001*y^2>"))
+        assert len(report.delta.poly.terms) == 1001
+        assert sum(validated) <= 50
 
     def test_fox_matrix_shapes(self):
         A = fox_alexander_matrix(parse_presentation("<x | >"))

@@ -2,6 +2,7 @@ import doctest
 import math
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,8 +13,8 @@ from alexinv.laurent import (LaurentPoly, MonomialUnit, ParseError, Symmetry,
                              classify_symmetry, divide_exact, format_poly,
                              gcd, gcd_list, involution, normalize, parse_poly,
                              root_of_unity_norm, trace)
-from conftest import (group_ring_norm, int_det, mat_pow, prs_fallbacks,
-                      unit_quotient)
+from conftest import (assert_well_formed, group_ring_norm, int_det,
+                      mat_pow, pack_per_term, prs_fallbacks, unit_quotient)
 
 t = LaurentPoly.variable(0, 1)
 
@@ -51,6 +52,50 @@ def laurent_polys(draw, arity=None, min_terms=0):
 def test_doctests():
     failures, _ = doctest.testmod(alexinv.laurent)
     assert failures == 0
+
+
+class TestConstruction:
+    def test_public_constructor_validates(self):
+        with pytest.raises(ValueError, match="length 1, expected 2"):
+            LaurentPoly(2, {(1,): 1})
+        with pytest.raises(ValueError, match="length 2, expected 1"):
+            LaurentPoly(1, {(0,): 1, (1, 0): 1})
+        with pytest.raises(ValueError):
+            LaurentPoly(0, {})
+        f = LaurentPoly(2, {(1, 0): 0, (0, 1): 3, (2, 2): 0})
+        assert dict(f.terms) == {(0, 1): 3}
+        assert LaurentPoly(1, {(4,): 0}).is_zero()
+
+    def test_zero_shift_is_free(self):
+        t1, t2 = two_vars()
+        f = t1 ** 3 - 2 * t2 ** -1
+        assert f.shift((0, 0)) is f
+        g = normalize(t ** -2 + 1)
+        assert normalize(g) is g
+        assert f.shift((1, -1)) == t1 * f * t2 ** -1
+        with pytest.raises(ValueError, match="length 1, expected 2"):
+            f.shift((1,))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    laurent_polys(n), laurent_polys(n),
+    st.tuples(*[st.integers(-3, 3)] * n), st.integers(1, 3))))
+def test_results_are_well_formed(case):
+    # every operation builds its result without the validating
+    # constructor, so check that result against what it would have made
+    f, g, v, k = case
+    unit = LaurentPoly.monomial(-1, v)
+    results = [f + g, f - g, f - f, f + 2, 3 - f, f * g, f * 0, -f,
+               f ** k, f ** 0, unit ** -k, f.shift(v), involution(f),
+               normalize(f), normalize(f * unit), gcd(f, g), gcd(f * g, g),
+               gcd(f, LaurentPoly.zero(f.arity))]
+    if not g.is_zero():
+        results.append(divide_exact(f * g, g))
+        results.append(divide_exact(f * g * unit, g * g))
+    for r in results:
+        if r is not None:
+            assert_well_formed(r)
 
 
 class TestMultiply:
@@ -341,6 +386,33 @@ class TestHeuristicGcd:
 
 
 class TestPackedQuotient:
+    def test_pack_matches_per_term_oracle(self):
+        rng = random.Random(12)
+        seen = Counter()
+        for case in range(240):
+            arity = rng.randint(1, 3)
+            dims = [rng.randint(1, 6) for _ in range(arity)]
+            strides, nslots = [], 1
+            for d in dims:
+                strides.append(nslots)
+                nslots *= d
+            box = list(product(*map(range, dims)))
+            support = box if case % 2 else rng.sample(
+                box, rng.randint(1, min(3, len(box))))
+            bits = rng.choice((3, 12, 40))
+            f = {e: rng.choice((-1, 1)) * rng.randint(1, 2 ** bits)
+                 for e in support}
+            height = max(abs(c) for c in f.values())
+            width = 8 * (-(-(height.bit_length() + 1) // 8)
+                         + rng.randint(0, 2))
+            assert (alexinv.laurent._pack(f, strides, nslots, width)
+                    == pack_per_term(f, strides, nslots, width))
+            seen["arity %d" % arity] += 1
+            seen["dense" if case % 2 else "sparse"] += 1
+            seen["negative"] += min(f.values()) < 0
+            seen["wide slots"] += width > 8
+        assert min(seen.values()) >= 40, seen
+
     def test_long_division_agrees(self, monkeypatch):
         rng = random.Random(33)
         pairs = []
