@@ -29,6 +29,8 @@ def _emit(payload):
 
 
 def _fail(message, code):
+    if isinstance(message, KeyError):  # its str() quotes the message
+        message = message.args[0]
     print("error: %s" % message, file=sys.stderr)
     return code
 
@@ -46,7 +48,7 @@ def cmd_compute(args):
     try:
         P = _load_presentation(args)
     except (OSError, ParseError, KeyError, ValueError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
+        return _fail(exc, EXIT_USAGE)
     try:
         report = full_report(P)
     except MinorBudgetError as exc:
@@ -106,7 +108,7 @@ def cmd_verify(args):
     except (CoverIndexError, MinorBudgetError) as exc:
         return _fail(str(exc), EXIT_RESOURCE)
     except (KeyError, ValueError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
+        return _fail(exc, EXIT_USAGE)
     if not reports:
         return _fail("%s: no cases to check" % args.theorem, EXIT_FAIL)
     failures = [r for r in reports if not r.ok]
@@ -131,7 +133,7 @@ def cmd_corpus(args):
     try:
         entry = corpus.get(args.name)
     except KeyError as exc:
-        return _fail(str(exc.args[0]), EXIT_USAGE)
+        return _fail(exc, EXIT_USAGE)
     print("# %s" % entry.name)
     print(str(entry.presentation))
     return EXIT_OK

@@ -14,7 +14,8 @@ from itertools import product
 from math import comb, prod
 
 from . import presentation as pres
-from .alexander import alexander_polynomial, fox_alexander_matrix
+from .alexander import (alexander_polynomial, fox_alexander_matrix,
+                        unit_reduce)
 from .cyclotomic import (CyclotomicField, bareiss_rank, character_evaluation,
                          character_order, galois_orbits)
 from .laurent import is_prime, root_of_unity_norm
@@ -249,18 +250,21 @@ def cover_homology(cp):
 # Character evaluation and the cover formulas.
 # ----------------------------------------------------------------------
 
-def char_rank(A, chi, deck):
+def char_rank(A, chi, deck, fields=None):
     """Exact rank of the matrix with t_i evaluated at rho_i^{e_i}.
 
     Arithmetic happens in Z[zeta_m], m the lcm of the character's orders:
     each entry is summed at the exponents of zeta_m and reduced once.
+    Calls that pass one ``fields`` dict (order m -> field) share one
+    :class:`CyclotomicField`, and its memos, per order.
     """
     if A.arity != len(deck.primes):
         raise ValueError("matrix arity %d does not match deck dimension %d"
                          % (A.arity, len(deck.primes)))
     exps = chi.exponents
     m = character_order(deck.primes, exps)
-    fld = CyclotomicField(m)
+    fields = {} if fields is None else fields
+    fld = fields[m] = fields.get(m) or CyclotomicField(m)
     at_chi = character_evaluation(deck.primes, exps, m)
     if not A.rows:
         return 0
@@ -278,13 +282,19 @@ def hironaka_predicted_betti(P, cm):
     to P(chi^a) and keeps its rank: one rank per Galois orbit of characters,
     weighted by the orbit's size, gives the total.  Requires a cover below
     the universal free abelian cover, with one prime per free coordinate.
+    Ranks are taken on B, k = unit_reduce(P), as rank P(chi) = k + rank
+    B(chi): the cleared pivots +-t^I evaluate to roots of unity, so the row
+    operations stay invertible and the pivot rows unit-triangular at every
+    chi.  The characters share one field per order for the whole call.
     """
     ab = abelianize(P)
     if cm.assignment != _free_abelian_assignment(ab, cm.deck.primes):
         raise ValueError("cover does not lie below the universal free "
                          "abelian cover in the Smith basis")
     A = fox_alexander_matrix(P, ab)
-    total = sum(size * max(0, A.ncols - 1 - char_rank(A, chi, cm.deck))
+    B, k = unit_reduce(A)
+    fields, n = {}, A.ncols - 1 - k
+    total = sum(size * max(0, n - char_rank(B, chi, cm.deck, fields))
                 for chi, size in cm.deck.character_orbits())
     return ab.rank + total
 

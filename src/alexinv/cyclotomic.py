@@ -165,13 +165,17 @@ def cyclotomic_norm(a, m):
 
 class CyclotomicField:
     """Q(zeta_m), with elements of Z[zeta_m] kept as integer vectors of
-    length phi(m) in the power basis; it stores only m and the degree."""
+    length phi(m) in the power basis.  It memoizes its inverses, and the
+    products of matrix entries in the first step of :func:`bareiss_rank`,
+    for as long as it lives: matrices that share a field, such as the
+    character evaluations of one cover, invert each pivot once."""
 
     def __init__(self, m):
         self.m = m
         self.degree = len(cyclotomic_polynomial(m)) - 1
         self.zero = (0,) * self.degree
         self.one = (1,) + self.zero[1:]
+        self._inverses, self._products = {}, {}
 
     def reduce(self, coeffs):
         """The element sum c_k * zeta^k of the integer list coeffs."""
@@ -198,7 +202,15 @@ class CyclotomicField:
     def inverse(self, a):
         """The inverse of a nonzero a as an integer pair (s, c) in lowest
         terms with c > 0 and s*a = c."""
-        return _subresultant(self.m, a, cofactor=True)
+        if a not in self._inverses:
+            self._inverses[a] = _subresultant(self.m, a, cofactor=True)
+        return self._inverses[a]
+
+    def entry_mul(self, a, b):
+        """mul(a, b), memoized for the entries of an evaluated matrix."""
+        if (a, b) not in self._products:
+            self._products[a, b] = self.mul(a, b)
+        return self._products[a, b]
 
     def times_inverse(self, a, inv):
         """a * s / c for inv = (s, c) = inverse(b): the exact quotient a / b,
@@ -228,11 +240,12 @@ def bareiss_rank(rows, field):
         pivot = mat[rank][col]
         if rank + 1 < m and col + 1 < n:
             inv = field.inverse(prev) if rank else None
+            mul = field.mul if rank else field.entry_mul
             for i in range(rank + 1, m):
                 row = mat[i]
                 for j in range(col + 1, n):
-                    num = field.sub(field.mul(pivot, row[j]),
-                                    field.mul(row[col], mat[rank][j]))
+                    num = field.sub(mul(pivot, row[j]),
+                                    mul(row[col], mat[rank][j]))
                     row[j] = num if inv is None \
                         else field.times_inverse(num, inv)
                 row[col] = field.zero

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from alexinv.cli import main
+from alexinv.corpus import names
 from alexinv.laurent import MAX_ARITY
 
 
@@ -11,6 +12,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def unknown_entry_error(name):
+    """The whole stderr of a command given an unknown corpus name: the
+    message itself, not the quoted str() of its KeyError."""
+    return "error: unknown corpus entry %r (try: %s)\n" % (
+        name, ", ".join(names()))
 
 
 class TestCompute:
@@ -46,6 +54,10 @@ class TestCompute:
     def test_unknown_corpus(self, capsys):
         code, _, err = run(capsys, "compute", "--corpus", "nope")
         assert code == 2
+
+    def test_unknown_corpus_message(self, capsys):
+        code, out, err = run(capsys, "compute", "--corpus", "nosuch")
+        assert (code, out, err) == (2, "", unknown_entry_error("nosuch"))
 
     def test_b1_zero_fails(self, tmp_path, capsys):
         path = tmp_path / "finite.txt"
@@ -199,6 +211,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "blanchfield", "--corpus", "all")
         assert code == 0
 
+    def test_unknown_corpus_message(self, capsys):
+        code, out, err = run(capsys, "verify", "hironaka",
+                             "--corpus", "nosuch")
+        assert (code, out, err) == (2, "", unknown_entry_error("nosuch"))
+
     def test_unknown_theorem(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "torres"])
@@ -290,6 +307,10 @@ class TestCorpusCommands:
     def test_show_unknown(self, capsys):
         code, _, err = run(capsys, "corpus", "show", "nope")
         assert code == 2
+
+    def test_show_unknown_message(self, capsys):
+        code, out, err = run(capsys, "corpus", "show", "nosuch")
+        assert (code, out, err) == (2, "", unknown_entry_error("nosuch"))
 
     def test_show_without_name(self, capsys):
         code, _, err = run(capsys, "corpus", "show")

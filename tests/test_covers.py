@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm, prod
@@ -8,7 +9,8 @@ import pytest
 
 import alexinv.cyclotomic
 from alexinv import presentation
-from alexinv.alexander import AlexanderMatrix, fox_alexander_matrix
+from alexinv.alexander import (AlexanderMatrix, fox_alexander_matrix,
+                               unit_reduce)
 from alexinv.corpus import entries, get, mapping_torus
 from alexinv.covers import (Character, CoverIndexError, CoverMap, DeckGroup,
                             b1_ge_4_consistency, char_rank, cover_homology,
@@ -120,6 +122,31 @@ class TestCyclotomicEuclid:
                     s, c = fld.inverse(a)
                     assert c > 0 and gcd(c, *s) == 1
                     assert fld.mul(a, s) == fld.reduce([c])
+
+    def test_memoized_inverse(self):
+        """inverse memoizes by argument; every answer, a repeat or not, is
+        the cofactor subresultant's and inverts a."""
+        rng = random.Random(22)
+        for m in (1, 2, 3, 5, 6, 7, 10, 15, 30, 31):
+            fld = CyclotomicField(m)
+            seen, repeats = [], 0
+            for _ in range(24):
+                if seen and rng.random() < 0.4:
+                    a = rng.choice(seen)
+                    repeats += 1
+                else:
+                    coeffs = [0] * m
+                    for _ in range(rng.randint(1, 4)):
+                        coeffs[rng.randrange(m)] = rng.randint(-5, 5)
+                    a = fld.reduce(coeffs)
+                    if fld.is_zero(a):
+                        continue
+                    seen.append(a)
+                s, c = fld.inverse(a)
+                assert (s, c) == alexinv.cyclotomic._subresultant(
+                    m, a, cofactor=True)
+                assert fld.mul(a, s) == fld.reduce([c])
+            assert repeats > 0 and len(fld._inverses) == len(set(seen)), m
 
     def test_norm_of_zero(self):
         for m in self.MODULI:
@@ -619,6 +646,31 @@ class TestCoverHomology:
         assert (hom.rank, hom.torsion) == (2, (961,))
         assert 0 < pops < 50_000, pops
 
+    def test_character_rank_work_guard(self, monkeypatch):
+        """Cofactor subresultants and field products of the Hironaka
+        prediction on the t3 (11, 11, 11) cover, counts rather than times:
+        a fresh field per orbit took 121 and 1,423 here, one field per
+        order with its memos 10 and 496."""
+        counts = Counter()
+        subresultant = alexinv.cyclotomic._subresultant
+        mul = CyclotomicField.mul
+
+        def counting_subresultant(m, a, cofactor):
+            counts["cofactor"] += cofactor
+            return subresultant(m, a, cofactor)
+
+        def counting_mul(fld, a, b):
+            counts["mul"] += 1
+            return mul(fld, a, b)
+        monkeypatch.setattr(alexinv.cyclotomic, "_subresultant",
+                            counting_subresultant)
+        monkeypatch.setattr(CyclotomicField, "mul", counting_mul)
+        P = get("t3").presentation
+        cm = free_abelian_cover(P, (11, 11, 11))
+        assert hironaka_predicted_betti(P, cm) == 3
+        assert 0 < counts["cofactor"] <= 12 and 0 < counts["mul"] <= 600, \
+            counts
+
 
 class TestTorsionCoverFormula:
     def test_mapping_torus_3(self):
@@ -740,6 +792,102 @@ class TestHironaka:
                 mixed += len(set(primes)) > 1
         assert covers == 97
         assert mixed > 0
+
+    @staticmethod
+    def shared_work_covers():
+        """t3, heisenberg and mapping-torus-A covers of equal primes, and
+        the mixed-prime covers of every corpus entry with 2 <= b1 <= 4."""
+        out = [(T3, (5, 5, 5)), (T3, (7, 7, 7)), (HEIS, (7, 7)),
+               (HEIS, (13, 13)), (get("mapping-torus-A").presentation, (31,))]
+        for entry in entries():
+            b1 = abelianize(entry.presentation).rank
+            for primes in ((2, 3, 5, 7)[:b1], (3, 5, 7, 11)[:b1]):
+                if 2 <= b1 <= 4 and prod(primes) <= 400:
+                    out.append((entry.presentation, primes))
+        return out
+
+    def test_shared_fields_match_fresh_fields(self, monkeypatch):
+        """The prediction, one field per order on the unit-reduced block,
+        against the sum over every nontrivial character of char_rank on
+        the full Fox matrix, each in a fresh field."""
+        made, calls = [], Counter()
+        init = CyclotomicField.__init__
+        inverse = CyclotomicField.inverse
+        entry_mul = CyclotomicField.entry_mul
+
+        def recording_init(fld, m):
+            init(fld, m)
+            made.append(fld)
+
+        def counting_inverse(fld, a):
+            calls["inverse"] += 1
+            return inverse(fld, a)
+
+        def counting_entry_mul(fld, a, b):
+            calls["entry_mul"] += 1
+            return entry_mul(fld, a, b)
+        hits = mixed = 0
+        for P, primes in self.shared_work_covers():
+            ab = abelianize(P)
+            A = fox_alexander_matrix(P, ab)
+            cm = free_abelian_cover(P, primes)
+            oracle = ab.rank + sum(
+                max(0, A.ncols - 1 - char_rank(A, chi, cm.deck))
+                for chi in cm.deck.characters(nontrivial_only=True))
+            made.clear()
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(CyclotomicField, "__init__", recording_init)
+                patch.setattr(CyclotomicField, "inverse", counting_inverse)
+                patch.setattr(CyclotomicField, "entry_mul",
+                              counting_entry_mul)
+                assert hironaka_predicted_betti(P, cm) == oracle, \
+                    (str(P), primes)
+            orders = [m for _, m, _ in galois_orbits(primes) if m > 1]
+            assert sorted(fld.m for fld in made) == sorted(set(orders))
+            hits += (calls["inverse"] + calls["entry_mul"]
+                     - sum(len(fld._inverses) + len(fld._products)
+                           for fld in made))
+            mixed += len(set(primes)) > 1
+        assert hits > 0 and mixed >= 4
+
+    def test_rank_on_unit_reduced_block(self):
+        """rank A(chi) = k + rank B(chi) for B, k = unit_reduce(A): at every
+        orbit representative of the covers above, and at every character
+        of seeded random matrices with and without planted units."""
+        for P, primes in self.shared_work_covers():
+            A = fox_alexander_matrix(P, abelianize(P))
+            B, k = unit_reduce(A)
+            deck = DeckGroup(primes)
+            for chi, _ in deck.character_orbits():
+                assert char_rank(A, chi, deck) == \
+                    k + char_rank(B, chi, deck), (str(P), chi)
+        rng = random.Random(33)
+        reduced = plain = 0
+        for case in range(100):
+            arity = rng.randint(1, 2)
+            deck = DeckGroup(tuple(rng.choice((2, 3, 5))
+                                   for _ in range(arity)))
+            nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+            rows = [list(row) for row in
+                    random_matrix(rng, nrows, ncols, arity).rows]
+            spread = LaurentPoly.one(arity) + LaurentPoly.variable(0, arity)
+            for row in rows:  # no unit by chance: +-t^I (1 + t_1) is none
+                row[:] = [f * spread if f.is_unit() else f for f in row]
+            if case % 2:
+                for _ in range(rng.randint(1, min(nrows, ncols))):
+                    rows[rng.randrange(nrows)][rng.randrange(ncols)] = \
+                        LaurentPoly.monomial(rng.choice((1, -1)), tuple(
+                            rng.randint(-2, 2) for _ in range(arity)))
+            A = AlexanderMatrix.from_rows(rows, arity, ncols)
+            B, k = unit_reduce(A)
+            assert (k > 0) == bool(case % 2)
+            for chi in deck.characters():
+                assert char_rank(A, chi, deck) == \
+                    k + char_rank(B, chi, deck), (rows, chi)
+            reduced += k > 0
+            plain += k == 0
+        assert reduced == plain == 50
 
     def test_rejects_non_free_cover(self):
         P = get("mapping-torus-A").presentation
