@@ -72,27 +72,17 @@ def det(rows, arity):
     """Exact determinant by fraction-free Bareiss elimination over the
     Laurent ring; the empty 0 x 0 determinant is 1.
 
-    Rows with at most one nonzero entry are expanded along first.  Then
-    step k replaces each entry below and right of the pivot by the 2 x 2
+    Step k replaces each entry below and right of the pivot by the 2 x 2
     minor with the pivot, divided exactly by the previous pivot (Sylvester's
     identity makes the division exact).  The pivot is the entry of column k
     with fewest terms, a row swap away; with none, the determinant is 0.
-    A zero row or column gives 0 before any row is copied."""
+    A zero row or column gives 0 before any row is copied.  Unit entries
+    get no special case: the order polynomials take their minors of the
+    block left after :func:`unit_reduce` has cleared them."""
     if not all(map(any, rows)) or not all(map(any, zip(*rows))):
         return LaurentPoly.zero(arity)
     M = [list(row) for row in rows]
     scale = LaurentPoly.one(arity)
-    while M:
-        counts = [sum(map(bool, row)) for row in M]
-        i = min(range(len(M)), key=counts.__getitem__)
-        if counts[i] > 1:
-            break
-        row = M.pop(i)
-        j = next((j for j, e in enumerate(row) if e), None)
-        if j is None:
-            return LaurentPoly.zero(arity)
-        scale = scale * (row[j] if (i + j) % 2 == 0 else -row[j])
-        M = [r[:j] + r[j + 1:] for r in M]
     n = len(M)
     for k in range(n - 1):
         candidates = [i for i in range(k, n) if M[i][k]]
@@ -196,19 +186,23 @@ def unit_reduce(A):
     return AlexanderMatrix.from_rows(rows, A.arity, len(live)), len(pivots)
 
 
-def alexander_polynomial(P):
-    """GCD of the (n-1) x (n-1) minors of the Fox matrix, normalized.
-
-    The minors are taken of the block left after clearing unit entries
-    (see :func:`unit_reduce`): with k units cleared, its (n-1-k)-minors
-    generate the same ideal.  Zero when no minors of that size exist (e.g.
-    free groups on >= 2 generators); requires b_1 >= 1.
-    """
-    A = fox_alexander_matrix(P)
+def _order(A, size, convention):
+    """GCD of the size x size minors of A, normalized, under the named
+    convention.  The minors are taken of the block left after clearing unit
+    entries (see :func:`unit_reduce`): with k units cleared, its
+    (size-k)-minors generate the same ideal.  Zero when no minors of that
+    size exist."""
     B, k = unit_reduce(A)
-    minors = elementary_minors(B, max(0, A.ncols - 1 - k))
-    poly = gcd_list(minors, A.arity)
-    return AlexanderPolynomial(poly, "RelativeFirstMinors")
+    minors = elementary_minors(B, max(0, size - k))
+    return AlexanderPolynomial(gcd_list(minors, A.arity), convention)
+
+
+def alexander_polynomial(P):
+    """GCD of the (n-1) x (n-1) minors of the Fox matrix, normalized.  Zero
+    when no minors of that size exist (e.g. free groups on >= 2
+    generators); requires b_1 >= 1."""
+    return _order(fox_alexander_matrix(P), P.num_generators - 1,
+                  "RelativeFirstMinors")
 
 
 def order_zero_direct(A):
@@ -216,13 +210,7 @@ def order_zero_direct(A):
     of its n x n minors, n = column count.  Rows are implicitly padded with
     zeros when there are fewer rows than columns, which makes every minor
     vanish; the empty 0 x 0 matrix yields 1."""
-    # no unit_reduce: on small matrices its fill-in costs more GCD time
-    minors = elementary_minors(A, A.ncols)
-    if A.ncols > 0 and A.nrows < A.ncols:
-        poly = LaurentPoly.zero(A.arity)
-    else:
-        poly = gcd_list(minors, A.arity)
-    return AlexanderPolynomial(poly, "OrderZeroDirect")
+    return _order(A, A.ncols, "OrderZeroDirect")
 
 
 # ----------------------------------------------------------------------
@@ -371,7 +359,8 @@ def full_report(P):
     ab = pres.abelianize(P)
     if ab.rank < 1:
         raise ValueError("free rank is 0; no Alexander invariants")
-    delta = alexander_polynomial(P)
+    delta = _order(fox_alexander_matrix(P, ab), P.num_generators - 1,
+                   "RelativeFirstMinors")
     checks = {}
     if delta.poly.is_zero():
         symmetry = None

@@ -18,16 +18,11 @@ from math import gcd, lcm, prod
 def cyclotomic_polynomial(m):
     """Coefficients (low to high) of the m-th cyclotomic polynomial,
     computed by dividing x^m - 1 by the proper-divisor cyclotomics; they
-    are monic, so each quotient comes from in-place synthetic division."""
+    are monic, so :func:`_prem` gives each exact quotient unscaled."""
     poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            phi = cyclotomic_polynomial(d)
-            top = len(phi) - 1
-            for i in range(len(poly) - 1, top - 1, -1):
-                for j in range(top):
-                    poly[i - top + j] -= poly[i] * phi[j]
-            poly = poly[top:]
+            poly = _prem(poly, cyclotomic_polynomial(d))[1]
     return tuple(poly)
 
 

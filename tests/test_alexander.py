@@ -1,10 +1,12 @@
 import random
 import time
+from itertools import combinations
 
 import pytest
 
 import alexinv.alexander
 import alexinv.laurent
+import alexinv.presentation
 from alexinv import corpus
 from alexinv.alexander import (AlexanderMatrix, LevineHypothesisError,
                                MinorBudgetError, alexander_polynomial,
@@ -16,7 +18,8 @@ from alexinv.alexander import (AlexanderMatrix, LevineHypothesisError,
 from alexinv.laurent import LaurentPoly, gcd_list, normalize, parse_poly
 from alexinv.presentation import (Presentation, abelianize, inverse_word,
                                   parse_presentation)
-from alexinv.verify import (random_matrix, random_symmetric_nonzero_trace,
+from alexinv.verify import (random_matrix, random_poly,
+                            random_symmetric_nonzero_trace,
                             random_unit_symmetric_nonzero_trace)
 from conftest import (cofactor_det, palindrome_unit_symmetric,
                       rescan_unit_reduce)
@@ -65,6 +68,40 @@ class TestMinors:
             singular += want.is_zero()
             assert det(rows, arity) == want
         assert zero_pivots >= 20 and singular >= 10
+        # rows with one nonzero entry, and block-diagonal matrices with
+        # their rows and columns shuffled
+        singleton = block = 0
+        for _ in range(100):
+            n = rng.randint(2, 5)
+            arity = rng.randint(1, 2)
+            zero = LaurentPoly.zero(arity)
+            if rng.random() < 0.5:
+                rows = [list(r) for r in random_matrix(rng, n, n, arity).rows]
+                for i in rng.sample(range(n), rng.randint(1, n - 1)):
+                    j = rng.randrange(n)
+                    entry = LaurentPoly.monomial(
+                        rng.choice((1, -1)),
+                        [rng.randint(-2, 2) for _ in range(arity)]) \
+                        if rng.random() < 0.5 \
+                        else random_poly(rng, arity, nonzero=True)
+                    rows[i] = [entry if c == j else zero for c in range(n)]
+                singleton += 1
+                want = cofactor_det(rows, arity)
+            else:
+                a = rng.randint(1, n - 1)
+                top = random_matrix(rng, a, a, arity).rows
+                bottom = random_matrix(rng, n - a, n - a, arity).rows
+                rows = [list(r) + [zero] * (n - a) for r in top] \
+                    + [[zero] * a + list(r) for r in bottom]
+                want = cofactor_det(top, arity) * cofactor_det(bottom, arity)
+                rperm, cperm = rng.sample(range(n), n), rng.sample(range(n), n)
+                rows = [[rows[i][j] for j in cperm] for i in rperm]
+                if permutation_sign(rperm) != permutation_sign(cperm):
+                    want = -want
+                assert cofactor_det(rows, arity) == want
+                block += 1
+            assert det(rows, arity) == want
+        assert singleton >= 40 and block >= 40
 
     def test_det_zero_row_or_column_skips_elimination(self, monkeypatch):
         def refuse(f, g):
@@ -111,6 +148,12 @@ class TestMinors:
         A = AlexanderMatrix.from_rows([[one] * 40] * 40, 1)
         with pytest.raises(MinorBudgetError):
             elementary_minors(A, 20)
+
+
+def permutation_sign(perm):
+    """+1 or -1 by counting inversions."""
+    inversions = sum(a > b for a, b in combinations(perm, 2))
+    return -1 if inversions % 2 else 1
 
 
 def unreduced_delta(P):
@@ -307,6 +350,46 @@ class TestOrderZeroDirect:
         A = AlexanderMatrix.from_rows([[t, t + 1]], 1)
         assert order_zero_direct(A).poly.is_zero()
 
+    def test_matches_unreduced_minors(self):
+        """The zeroth order against its definition: the GCD of the cofactor
+        expansions of every n x n minor of A itself, with no unit cleared.
+        Inputs: block extensions, matrices with planted units +-t^I, b1 = 1
+        witnesses, and matrices with fewer rows than columns."""
+        rng = random.Random(47)
+        cleared = fewer = fewer_cleared = nonzero = 0
+        for case in range(200):
+            kind = case % 4
+            arity = rng.randint(1, 3)
+            n = rng.randint(1, 2 if arity == 3 else 3)
+            if kind == 0:
+                P = random_matrix(rng, n + rng.choice((0, 1)), n, arity)
+                A = levine_extend(P, random_symmetric_nonzero_trace(rng,
+                                                                    arity))
+            elif kind == 2:
+                lam = random_unit_symmetric_nonzero_trace(rng)
+                A = characterize_b1_one(lam).witness
+            else:
+                m = rng.randint(0, n - 1) if kind == 3 \
+                    else n + rng.choice((0, 1))
+                rows = [list(r) for r in random_matrix(rng, m, n, arity).rows]
+                for _ in range(rng.randint(0, n) if m else 0):
+                    rows[rng.randrange(m)][rng.randrange(n)] = \
+                        LaurentPoly.monomial(
+                            rng.choice((1, -1)),
+                            [rng.randint(-2, 2) for _ in range(arity)])
+                A = AlexanderMatrix.from_rows(rows, arity, n)
+            dets = [cofactor_det([A.rows[i] for i in rws], A.arity)
+                    for rws in combinations(range(A.nrows), A.ncols)]
+            want = normalize(gcd_list(dets, A.arity))
+            assert order_zero_direct(A).poly == want
+            k = unit_reduce(A)[1]
+            cleared += k >= 1
+            fewer += A.nrows < A.ncols
+            fewer_cleared += A.nrows < A.ncols and k >= 1
+            nonzero += not want.is_zero()
+        assert cleared >= 40 and fewer >= 40 and fewer_cleared >= 10
+        assert nonzero >= 100
+
 
 class TestLevine:
     def test_hypotheses_reports(self):
@@ -437,6 +520,22 @@ class TestFullReport:
         report = full_report(parse_presentation("<x, y | x^1001*y^2>"))
         assert len(report.delta.poly.terms) == 1001
         assert sum(validated) <= 50
+
+    def test_one_smith_form(self, monkeypatch):
+        # the Fox matrix reuses the report's abelianization
+        snf = alexinv.presentation.smith_normal_form
+        calls = []
+
+        def counting(A):
+            calls.append(A)
+            return snf(A)
+
+        monkeypatch.setattr(alexinv.presentation, "smith_normal_form",
+                            counting)
+        for name in corpus.names():
+            calls.clear()
+            full_report(corpus.get(name).presentation)
+            assert len(calls) == 1, name
 
     def test_fox_matrix_shapes(self):
         A = fox_alexander_matrix(parse_presentation("<x | >"))

@@ -122,6 +122,14 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "0")
         assert code == 1
 
+    def test_oversized_power(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", "(t+1)^1000000")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert err == ("error: power too large (over 1048576 bits) "
+                       "(at position 6)\n")
+
     @pytest.mark.parametrize("arity", ["0", "-2"])
     def test_bad_arity(self, capsys, arity):
         # exit 2 with one error line, not a ValueError from LaurentPoly

@@ -1,6 +1,7 @@
 import doctest
 import math
 import random
+import time
 from collections import Counter
 from itertools import product
 
@@ -96,6 +97,12 @@ def test_results_are_well_formed(case):
     for r in results:
         if r is not None:
             assert_well_formed(r)
+    # equal values hash alike; f ** 0 and f * 0 are constants equal to ints
+    values = [r for r in results if r is not None] + [0, 1, -1, 2, k]
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
 
 
 class TestMultiply:
@@ -651,3 +658,24 @@ class TestParsePrint:
     def test_negative_power_of_nonunit(self):
         with pytest.raises(ParseError):
             parse_poly("(t + 1)^-1", 1)
+
+    def test_oversized_power_fails_fast(self):
+        # (t+1)^n is bounded by (n + 1) * n * 2 bits: n = 723 is the last
+        # accepted; (t1+t2+t3+1)^n by (n + 1)^3 * n * 3 bits
+        assert len(parse_poly("(t+1)^723", 1).terms) == 724
+        assert len(parse_poly("(t1+t2+t3+1)^5", 3).terms) == 56
+        for text, arity, at in [("(t+1)^724", 1, 6),
+                                ("(t+1)^ 1000000", 1, 7),
+                                ("(t1+t2+t3+1)^26", 3, 13),
+                                ("2^1000000", 1, 2),
+                                ("(t^1000 + 1)^1000", 1, 13)]:
+            start = time.perf_counter()
+            with pytest.raises(ParseError, match="power too large") as err:
+                parse_poly(text, arity)
+            assert time.perf_counter() - start < 0.1
+            assert err.value.position == at
+        # units, zero and small powers are not bounded
+        assert parse_poly("t^1000000", 1) == t ** 1000000
+        assert parse_poly("(-t)^999999", 1) == -(t ** 999999)
+        assert parse_poly("0^5", 1).is_zero()
+        assert parse_poly("(t - 1)^2", 1) == t ** 2 - 2 * t + 1
