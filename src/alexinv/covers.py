@@ -183,6 +183,12 @@ def reidemeister_schreier(cm, max_index=DEFAULT_MAX_INDEX):
     or is None on a tree edge.  So the transversal is prefix closed and
     deterministic, and |deck|*n - (|deck| - 1) generators and |deck|*m
     rewritten relators remain.
+
+    ``Presentation``'s checks hold by construction and are skipped: names
+    ``<base>_<coset>`` are valid and unique, as base names are and the
+    suffix is an integer; relators are reduced, as two letters that cancel
+    would be one Schreier edge out and back around a closed walk in the
+    tree, which backtracks unless empty, so the base relator would cancel.
     """
     order = cm.deck.order
     if order > max_index:
@@ -227,11 +233,11 @@ def reidemeister_schreier(cm, max_index=DEFAULT_MAX_INDEX):
                 k = schreier[c][g]
             if k is not None:
                 out.append((k, s))
-        return out
+        return tuple(out)
 
     relators = tuple(rewrite(rel, c)
                      for c in range(order) for rel in base.relators)
-    return CoverPresentation(Presentation(tuple(gen_names), relators),
+    return CoverPresentation(Presentation._own(tuple(gen_names), relators),
                              tuple(transversal), cm)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import chain
 
 from .laurent import MAX_EXPONENT, LaurentPoly, ParseError
@@ -74,6 +74,14 @@ class Presentation:
                 if not 0 <= g < len(names) or s not in (1, -1):
                     raise ValueError("relator letter (%r, %r) out of range"
                                      % (g, s))
+
+    @classmethod
+    def _own(cls, names, relators):
+        """Trusted parts, unchecked: valid unique names, reduced relators."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "generator_names", names)
+        object.__setattr__(self, "relators", relators)
+        return self
 
     @property
     def num_generators(self):
@@ -382,19 +390,18 @@ def _eliminate_units(A, is_unit, inverse, modulus=None):
     Each step takes the unit entry of least Markowitz cost (row nonzeros
     - 1) * (column nonzeros - 1), ties broken by original row and then
     column, clears its column with row operations through ``inverse`` and
-    drops its row and column, and any row that became zero.  The units
-    wait in a heap of (key, row, column), and every unit has an item whose
-    key is at most its current cost.  A popped unit that has been cleared
-    is dropped, one whose cost grew is pushed back at its cost, and one
-    whose key is its cost is the pivot: every other unit has an item no
-    less than the popped one and a cost at least that item's key, so the
-    pivot is the least (cost, row, column), the one a rescan would take.
-    After a pivot only costs that fell are pushed: the units of an
-    updated row that got shorter, new units, and the units of a column
-    that ended shorter than before the step.
+    drops its row and column, and any row that became zero.  The heap
+    holds (key, row) items: a row with a unit has one whose key,
+    ``low[row]``, is at most its units' least cost, and is pushed again
+    only when that cost falls below it.  A popped row whose least cost is
+    its key gives the pivot, the least (cost, row, column) as a rescan
+    takes it, since every other row has an item no less than (key, row)
+    and no unit cheaper than that item's key; one whose cost grew is
+    pushed back.  After a pivot only the rows whose least cost may have
+    fallen are re-keyed: updated rows that got shorter or gained a unit,
+    and rows with a unit in a column that ended shorter than before.
     """
-    rows = {}
-    cols = {}  # column -> indices of the rows holding it
+    rows, cols = {}, {}  # cols: column -> indices of the rows holding it
     for i, row in enumerate(A):
         pairs = row.items() if isinstance(row, dict) else enumerate(row)
         if modulus is not None:
@@ -404,32 +411,38 @@ def _eliminate_units(A, is_unit, inverse, modulus=None):
             rows[i] = entries
             for j in entries:
                 cols.setdefault(j, set()).add(i)
-    heap = []  # (key, row, column), key <= cost
 
-    def queue(i, columns):
-        row = rows[i]
-        for j in columns:
-            if is_unit(row[j]):
-                heappush(heap, ((len(row) - 1) * (len(cols[j]) - 1), i, j))
+    def best(i):  # least (cost, column) of row i's units, or (inf, None)
+        row, n, b = rows[i], len(rows[i]) - 1, None
+        for j, x in row.items():
+            if is_unit(x) and (b is None or (n * (len(cols[j]) - 1), j) < b):
+                b = n * (len(cols[j]) - 1), j
+        return b or (math.inf, None)
 
-    for i, row in rows.items():
-        queue(i, row)
+    def push(i, cost):  # re-key row i if its least cost fell below its key
+        if cost < low.get(i, math.inf):
+            low[i] = cost
+            heappush(heap, (cost, i))
+
+    low = {i: b[0] for i in rows if (b := best(i))[1] is not None}
+    heap = [(key, i) for i, key in low.items()]
+    heapify(heap)
     pivots = []
     while heap:
-        key, i, j = heappop(heap)
-        row = rows.get(i)
-        if row is None or j not in row or not is_unit(row[j]):
-            continue  # cleared since
-        cost = (len(row) - 1) * (len(cols[j]) - 1)
-        if cost != key:
-            heappush(heap, (cost, i, j))  # grew since
+        key, i = heappop(heap)
+        if i not in rows or low.get(i) != key:
+            continue  # gone, or superseded by a lower item
+        del low[i]
+        cost, j = best(i)
+        if cost != key:  # its cost grew, or no unit is left
+            push(i, cost)
             continue
         pivot = rows.pop(i)
         before = {c: len(cols[c]) for c in pivot}
         for c in pivot:
             cols[c].discard(i)
         inv = inverse(pivot.pop(j))
-        shorter, fresh = set(), []  # fresh: new entries, or maybe new units
+        rekey = set()  # rows whose least cost may have fallen
         for r in cols.pop(j):
             # row_r -= (a * inv) * pivot clears (r, j)
             row = rows[r]
@@ -443,8 +456,8 @@ def _eliminate_units(A, is_unit, inverse, modulus=None):
                 if y:
                     if not old:
                         cols[c].add(r)
-                    if not (old and is_unit(old)):
-                        fresh.append((r, c))
+                    if not (old and is_unit(old)) and is_unit(y):
+                        rekey.add(r)  # a new unit
                     row[c] = y
                 else:
                     del row[c]
@@ -452,16 +465,12 @@ def _eliminate_units(A, is_unit, inverse, modulus=None):
             if not row:
                 del rows[r]
             elif len(row) < n:
-                shorter.add(r)
-        for r in shorter:  # queued at the lengths the whole step leaves
-            queue(r, rows[r])
-        for r, c in fresh:
-            if r not in shorter:
-                queue(r, (c,))
-        for c in pivot:  # units of the columns that ended shorter
+                rekey.add(r)
+        for c in pivot:  # the columns that ended shorter
             if len(cols[c]) < before[c]:
-                for r in cols[c] - shorter:
-                    queue(r, (c,))
+                rekey.update(r for r in cols[c] if is_unit(rows[r][c]))
+        for r in rekey:
+            push(r, best(r)[0])
         pivots.append(j)
     return pivots, list(rows.values())
 

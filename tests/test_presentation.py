@@ -218,16 +218,16 @@ class TestEliminateUnits:
         (bool, lambda s, p=p: pow(s, -1, p), p) for p in (7, 11)]
 
     @staticmethod
-    def random_rows(rng):
-        """A sparse matrix with entries in {+-1, +-2}; some rows copy an
-        earlier row with an entry or two redrawn, so that eliminating
-        one against the other cancels, and the rest fill in."""
-        m, n = rng.randint(2, 10), rng.randint(2, 10)
+    def random_rows(rng, values=(1, -1, 2, -2), size=10):
+        """A sparse matrix with entries drawn from ``values``, at most
+        ``size`` square; some rows copy an earlier row with an entry or two
+        redrawn, so that eliminating one against the other cancels, and the
+        rest fill in."""
+        m, n = rng.randint(2, size), rng.randint(2, size)
         density = rng.uniform(0.2, 0.6)
 
         def draw():
-            return rng.choice((1, -1, 2, -2)) if rng.random() < density \
-                else 0
+            return rng.choice(values) if rng.random() < density else 0
         rows = []
         for _ in range(m):
             if rows and rng.random() < 0.3:
@@ -241,16 +241,24 @@ class TestEliminateUnits:
 
     def cases(self):
         for name, primes in [("heisenberg", (7, 7)), ("heisenberg", (11, 11)),
-                             ("t3", (5, 5, 5)), ("mapping-torus-A", (31,)),
+                             ("heisenberg", (13, 13)), ("t3", (5, 5, 5)),
+                             ("t3", (7, 7, 7)), ("mapping-torus-A", (31,)),
                              ("mapping-torus-A", (127,))]:
             cp = reidemeister_schreier(
-                free_abelian_cover(corpus.get(name).presentation, primes))
+                free_abelian_cover(corpus.get(name).presentation, primes),
+                max_index=343)
             rows = cp.presentation.exponent_rows()
             for ring in self.RINGS:
                 yield rows, ring
         rng = random.Random(11)
         for _ in range(240):
             yield self.random_rows(rng), self.RINGS[0]
+        # mostly non-units: a row can gain its first unit in the same step
+        # that fills it in, in a column that does not end shorter
+        rng = random.Random(15)
+        for _ in range(400):
+            yield self.random_rows(rng, (1, -1) + (2, -2, 3, -3) * 2,
+                                   12), self.RINGS[0]
 
     def test_same_pivots_and_rows_as_rescan(self):
         several = 0
