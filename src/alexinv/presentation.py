@@ -390,16 +390,25 @@ def _eliminate_units(A, is_unit, inverse, modulus=None):
     Each step takes the unit entry of least Markowitz cost (row nonzeros
     - 1) * (column nonzeros - 1), ties broken by original row and then
     column, clears its column with row operations through ``inverse`` and
-    drops its row and column, and any row that became zero.  The heap
-    holds (key, row) items: a row with a unit has one whose key,
-    ``low[row]``, is at most its units' least cost, and is pushed again
-    only when that cost falls below it.  A popped row whose least cost is
-    its key gives the pivot, the least (cost, row, column) as a rescan
-    takes it, since every other row has an item no less than (key, row)
-    and no unit cheaper than that item's key; one whose cost grew is
-    pushed back.  After a pivot only the rows whose least cost may have
-    fallen are re-keyed: updated rows that got shorter or gained a unit,
-    and rows with a unit in a column that ended shorter than before.
+    drops its row and column, and any row that became zero.
+
+    Within a row, (cost, column) orders the units as (column count,
+    column) does.  ``cache[row]`` holds a pair that is at most the pair of
+    every unit of the row and whose column, until it is pivoted away,
+    holds a unit of the row: entries change only in updated rows, which
+    rescan if their cached unit was in the pivot row.  So the pair is
+    exact while ``len(cols[column])`` equals its count; a pop rescans the
+    row only when the column has grown since or was a pivot column.  A
+    step changes the counts of the pivot row's columns alone.  Each that
+    ended shorter offers its pair to the other rows with a unit in it,
+    which take it if it is less; each updated row takes the least of its
+    pair and its units in the pivot row.  The heap holds (key, row) items:
+    a row with a unit has one whose key, ``low[row]``, is at most the cost
+    of its pair, so at most its least cost, and is pushed again only when
+    that cost falls below it.  A popped row whose least cost is its key
+    gives the pivot, the least (cost, row, column) as a rescan takes it,
+    since every other row has an item no less than (key, row) and no unit
+    cheaper than that item's key; one whose cost grew is pushed back.
     """
     rows, cols = {}, {}  # cols: column -> indices of the rows holding it
     for i, row in enumerate(A):
@@ -412,19 +421,25 @@ def _eliminate_units(A, is_unit, inverse, modulus=None):
             for j in entries:
                 cols.setdefault(j, set()).add(i)
 
-    def best(i):  # least (cost, column) of row i's units, or (inf, None)
-        row, n, b = rows[i], len(rows[i]) - 1, None
-        for j, x in row.items():
-            if is_unit(x) and (b is None or (n * (len(cols[j]) - 1), j) < b):
-                b = n * (len(cols[j]) - 1), j
-        return b or (math.inf, None)
+    def best(i):  # least (count, column) of row i's units, or None
+        b = None
+        for j, x in rows[i].items():
+            if (b is None or (len(cols[j]), j) < b) and is_unit(x):
+                b = len(cols[j]), j
+        return b
 
-    def push(i, cost):  # re-key row i if its least cost fell below its key
-        if cost < low.get(i, math.inf):
+    def keep(i, b):  # cache row i's best unit and re-key it if it fell
+        if b is None:
+            cache.pop(i, None)
+            return
+        cache[i] = b
+        cost = (len(rows[i]) - 1) * (b[0] - 1)
+        if i not in low or cost < low[i]:
             low[i] = cost
             heappush(heap, (cost, i))
 
-    low = {i: b[0] for i in rows if (b := best(i))[1] is not None}
+    cache = {i: b for i in rows if (b := best(i))}
+    low = {i: (len(rows[i]) - 1) * (b[0] - 1) for i, b in cache.items()}
     heap = [(key, i) for i, key in low.items()]
     heapify(heap)
     pivots = []
@@ -433,21 +448,25 @@ def _eliminate_units(A, is_unit, inverse, modulus=None):
         if i not in rows or low.get(i) != key:
             continue  # gone, or superseded by a lower item
         del low[i]
-        cost, j = best(i)
-        if cost != key:  # its cost grew, or no unit is left
-            push(i, cost)
+        b = cache.get(i)
+        if b and len(cols.get(b[1], ())) != b[0]:  # grown, or pivoted away
+            b = best(i)
+        if b is None or (len(rows[i]) - 1) * (b[0] - 1) != key:
+            keep(i, b)  # its cost grew, or no unit is left
             continue
+        j = b[1]
         pivot = rows.pop(i)
-        before = {c: len(cols[c]) for c in pivot}
+        before = {}
         for c in pivot:
+            before[c] = len(cols[c])
             cols[c].discard(i)
         inv = inverse(pivot.pop(j))
-        rekey = set()  # rows whose least cost may have fallen
+        updated = {}  # updated row -> its pivot-row columns
         for r in cols.pop(j):
             # row_r -= (a * inv) * pivot clears (r, j)
             row = rows[r]
-            n = len(row)
             f = row.pop(j) * inv
+            kept = []
             for c, x in pivot.items():
                 old = row.get(c, 0)
                 y = old - f * x
@@ -456,21 +475,40 @@ def _eliminate_units(A, is_unit, inverse, modulus=None):
                 if y:
                     if not old:
                         cols[c].add(r)
-                    if not (old and is_unit(old)) and is_unit(y):
-                        rekey.add(r)  # a new unit
                     row[c] = y
+                    kept.append(c)
                 else:
                     del row[c]
                     cols[c].discard(r)
-            if not row:
+            if row:
+                updated[r] = kept
+            else:
                 del rows[r]
-            elif len(row) < n:
-                rekey.add(r)
         for c in pivot:  # the columns that ended shorter
-            if len(cols[c]) < before[c]:
-                rekey.update(r for r in cols[c] if is_unit(rows[r][c]))
-        for r in rekey:
-            push(r, best(r)[0])
+            pair = len(cols[c]), c
+            if pair[0] < before[c]:
+                for r in cols[c]:
+                    if r not in updated and r in cache \
+                            and pair < cache[r] and is_unit(rows[r][c]):
+                        keep(r, pair)
+        # an updated row takes the least of its pair and its units in the
+        # pivot row and is kept as by keep, inlined since this runs once
+        # per row operation (the calls took 5% of the time)
+        for r, kept in updated.items():
+            b, row = cache.get(r), rows[r]
+            if b and b[1] in pivot:
+                b, kept = None, row  # its cached unit changed
+            for c in kept:
+                if (b is None or (len(cols[c]), c) < b) and is_unit(row[c]):
+                    b = len(cols[c]), c
+            if b is None:
+                cache.pop(r, None)
+                continue
+            cache[r] = b
+            cost = (len(row) - 1) * (b[0] - 1)
+            if r not in low or cost < low[r]:
+                low[r] = cost
+                heappush(heap, (cost, r))
         pivots.append(j)
     return pivots, list(rows.values())
 

@@ -692,6 +692,27 @@ class TestCoverHomology:
         assert (hom.rank, hom.torsion) == (2, (961,))
         assert 0 < pops < 6_000, pops
 
+    def test_is_unit_work_guard(self):
+        """is_unit calls of the unit kernel on the heisenberg (31, 31)
+        cover, a count rather than a time: rescanning a row's units at
+        every re-key and pop took 75,695 here, rescanning an updated row
+        whenever its cached best unit was in the pivot row 11,253, and
+        keeping the pivot column's pair as a bound 7,004."""
+        calls = 0
+
+        def counting_is_unit(x):
+            nonlocal calls
+            calls += 1
+            return x in (1, -1)
+        cp = reidemeister_schreier(
+            free_abelian_cover(get("heisenberg").presentation, (31, 31)),
+            max_index=961)
+        rows = cp.presentation.exponent_rows()
+        got = presentation._eliminate_units(rows, counting_is_unit, int)
+        assert got == presentation._eliminate_units(rows, {1, -1}.__contains__,
+                                                    int)
+        assert 0 < calls < 10_000, calls
+
     def test_character_rank_work_guard(self, monkeypatch):
         """Cofactor subresultants and field products of the Hironaka
         prediction on the t3 (11, 11, 11) cover, counts rather than times:
