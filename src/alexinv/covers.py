@@ -267,15 +267,15 @@ def char_rank(A, chi, deck, fields=None):
     if A.arity != len(deck.primes):
         raise ValueError("matrix arity %d does not match deck dimension %d"
                          % (A.arity, len(deck.primes)))
+    if not A.rows:
+        return 0
     exps = chi.exponents
     m = character_order(deck.primes, exps)
     fields = {} if fields is None else fields
     fld = fields[m] = fields.get(m) or CyclotomicField(m)
     at_chi = character_evaluation(deck.primes, exps, m)
-    if not A.rows:
-        return 0
-    return bareiss_rank(A.evaluate(lambda f: fld.reduce(at_chi(f.terms))),
-                        fld)
+    return bareiss_rank(A.evaluate(lambda f: fld.reduce(at_chi(f.terms))
+                                   if f.terms else fld.zero), fld)
 
 
 def hironaka_predicted_betti(P, cm):
@@ -300,6 +300,8 @@ def hironaka_predicted_betti(P, cm):
     A = fox_alexander_matrix(P, ab)
     B, k = unit_reduce(A)
     fields, n = {}, A.ncols - 1 - k
+    if not B.rows:  # rank A(chi) = k at every character: no field needed
+        return ab.rank + max(0, n) * (cm.deck.order - 1)
     total = sum(size * max(0, n - char_rank(B, chi, cm.deck, fields))
                 for chi, size in cm.deck.character_orbits())
     return ab.rank + total

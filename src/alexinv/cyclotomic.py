@@ -2,7 +2,8 @@
 characters, norms, inverses and fraction-free rank computation.
 
 Elements are integer vectors of length phi(m) in the power basis, reduced
-by one fold from the top against the monic cyclotomic polynomial Phi_m.
+by one fold from the top: through x^m - 1, which Phi_m divides, and then
+the top m - phi(m) entries against the monic cyclotomic polynomial Phi_m.
 One subresultant sequence over Z against Phi_m gives inverses, as pairs
 (s, c) with s*a = c, and norms, as resultants.  Ranks come from Bareiss
 elimination, whose divisions are exact in Z[zeta_m].
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, lcm, prod
+from operator import add, mul, sub
 
 
 @lru_cache(maxsize=None)
@@ -61,21 +63,25 @@ def character_evaluation(primes, exponents, m):
     def evaluate(terms):
         a = [0] * m
         for mono, c in terms.items():
-            a[sum(w * x for w, x in zip(weights, mono)) % m] += c
+            a[sum(map(mul, weights, mono)) % m] += c
         return a
     return evaluate
 
 
 def _fold(v, m):
     """Reduce the integer list v (low to high) modulo Phi_m in place, to
-    length phi(m), clearing the entries above the degree from the top
-    against the monic Phi_m."""
+    length phi(m): first through x^m - 1, which Phi_m divides, adding each
+    entry at k >= m into k - m from the top down, then clearing the top
+    m - phi(m) entries, highest first, against the monic Phi_m."""
     phi = cyclotomic_polynomial(m)
     d = len(phi) - 1
+    for k in range(len(v) - 1, m - 1, -1):
+        v[k - m] += v[k]
+    del v[m:]
     for i in range(len(v) - 1, d - 1, -1):
-        if v[i]:
-            for j in range(d):
-                v[i - d + j] -= v[i] * phi[j]
+        c = v[i]
+        if c:
+            v[i - d:i] = map(sub, v[i - d:i], map(c.__mul__, phi))
     del v[d:]
     v += [0] * (d - len(v))
     return v
@@ -160,32 +166,39 @@ def cyclotomic_norm(a, m):
 
 class CyclotomicField:
     """Q(zeta_m), with elements of Z[zeta_m] kept as integer vectors of
-    length phi(m) in the power basis.  It memoizes its inverses, and the
-    products of matrix entries in the first step of :func:`bareiss_rank`,
-    for as long as it lives: matrices that share a field, such as the
-    character evaluations of one cover, invert each pivot once."""
+    length phi(m) in the power basis.  It memoizes its reductions, by the
+    unreduced vector, its inverses, and the products of matrix entries in
+    the first step of :func:`bareiss_rank`, for as long as it lives:
+    matrices that share a field, such as the character evaluations of one
+    cover, fold each entry value once and invert each pivot once.  A zero
+    factor makes a product zero before any convolution or memo lookup."""
 
     def __init__(self, m):
         self.m = m
         self.degree = len(cyclotomic_polynomial(m)) - 1
         self.zero = (0,) * self.degree
         self.one = (1,) + self.zero[1:]
-        self._inverses, self._products = {}, {}
+        self._reduced, self._inverses, self._products = {}, {}, {}
 
     def reduce(self, coeffs):
         """The element sum c_k * zeta^k of the integer list coeffs."""
-        return tuple(_fold(list(coeffs), self.m))
+        key = tuple(coeffs)
+        if key not in self._reduced:
+            self._reduced[key] = tuple(_fold(list(key), self.m))
+        return self._reduced[key]
 
     def is_zero(self, a):
         return not any(a)
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        return tuple(map(sub, a, b))
 
     def mul(self, a, b):
+        if not (any(a) and any(b)):
+            return self.zero
         out = [0] * (len(a) + len(b) - 1)
         terms = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
@@ -203,6 +216,8 @@ class CyclotomicField:
 
     def entry_mul(self, a, b):
         """mul(a, b), memoized for the entries of an evaluated matrix."""
+        if not (any(a) and any(b)):
+            return self.zero
         if (a, b) not in self._products:
             self._products[a, b] = self.mul(a, b)
         return self._products[a, b]
@@ -210,6 +225,8 @@ class CyclotomicField:
     def times_inverse(self, a, inv):
         """a * s / c for inv = (s, c) = inverse(b): the exact quotient a / b,
         asserted to land back in Z[zeta_m]."""
+        if not any(a):
+            return self.zero
         s, c = inv
         return tuple(_divexact(self.mul(a, s), c, "Bareiss division"))
 

@@ -130,6 +130,12 @@ class TestClassify:
         assert err == ("error: power too large (over 1048576 bits) "
                        "(at position 6)\n")
 
+    def test_sparse_power_accepted(self, capsys):
+        # 101 terms, though its exponent box has 100,001 slots
+        code, out, _ = run(capsys, "classify", "(t^1000 + 1)^100")
+        assert code == 0
+        assert json.loads(out)["symmetry"] == "UnitSymmetric"
+
     @pytest.mark.parametrize("arity", ["0", "-2"])
     def test_bad_arity(self, capsys, arity):
         # exit 2 with one error line, not a ValueError from LaurentPoly

@@ -7,6 +7,7 @@ from math import gcd, lcm, prod
 
 import pytest
 
+import alexinv.covers
 import alexinv.cyclotomic
 from alexinv import presentation
 from alexinv.alexander import (AlexanderMatrix, fox_alexander_matrix,
@@ -272,6 +273,45 @@ class TestEuclidDifferential:
                 cases += 1
         assert cases >= 600
         assert min(seen.values()) >= 100, seen
+
+
+class TestFoldDifferential:
+    """Field products and reductions, which fold through x^m - 1 before
+    Phi_m, against schoolbook convolution and the pseudo-remainder by the
+    monic Phi_m, on seeded sparse inputs with zero factors and unreduced
+    lists longer than 2m."""
+
+    MODULI = (1, 2, 3, 4, 6, 9, 12, 15, 30, 31, 105)
+
+    @staticmethod
+    def remainder(v, m):
+        phi = list(cyclotomic_polynomial(m))
+        v = list(v) + [0] * (len(phi) - len(v))
+        return tuple(alexinv.cyclotomic._prem(v, phi)[0])
+
+    def test_matches_schoolbook_and_prem(self):
+        rng = random.Random(71)
+        zero_products = long_inputs = 0
+        for m in self.MODULI:
+            fld = CyclotomicField(m)
+            d = fld.degree
+            for case in range(30):
+                n = 3 * m + 2 if case < 3 else rng.randint(0, 3 * m + 2)
+                v = [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)]
+                assert fld.reduce(v) == self.remainder(v, m), (m, v)
+                assert fld.reduce(v) == fld.reduce(tuple(v))
+                long_inputs += n > 2 * m
+                a, b = ([0] * d if case % 6 == k else
+                        [rng.choice((0, 0, rng.randint(-50, 50)))
+                         for _ in range(d)] for k in (0, 1))
+                a, b = tuple(a), tuple(b)
+                want = self.remainder(_poly_mul(a, b), m)
+                assert fld.mul(a, b) == fld.entry_mul(a, b) == want, (m, a, b)
+                assert fld.add(a, b) == tuple(x + y for x, y in zip(a, b))
+                assert fld.sub(a, b) == tuple(x - y for x, y in zip(a, b))
+                zero_products += not any(want)
+        assert long_inputs >= 3 * len(self.MODULI)
+        assert zero_products >= 2 * len(self.MODULI)
 
 
 def field_det(rows, fld):
@@ -738,6 +778,24 @@ class TestCoverHomology:
         assert 0 < counts["cofactor"] <= 12 and 0 < counts["mul"] <= 600, \
             counts
 
+    def test_fold_guard(self, monkeypatch):
+        """Folds of the same prediction: 1,713 when every evaluated entry
+        and every product was folded afresh against Phi_m; zero entries
+        and products skip the fold, and the field folds each distinct
+        evaluation once."""
+        calls = 0
+        fold = alexinv.cyclotomic._fold
+
+        def counting_fold(v, m):
+            nonlocal calls
+            calls += 1
+            return fold(v, m)
+        monkeypatch.setattr(alexinv.cyclotomic, "_fold", counting_fold)
+        P = get("t3").presentation
+        cm = free_abelian_cover(P, (11, 11, 11))
+        assert hironaka_predicted_betti(P, cm) == 3
+        assert 0 < calls <= 400, calls
+
 
 class TestTorsionCoverFormula:
     def test_mapping_torus_3(self):
@@ -910,7 +968,9 @@ class TestHironaka:
                               counting_entry_mul)
                 assert hironaka_predicted_betti(P, cm) == oracle, \
                     (str(P), primes)
-            orders = [m for _, m, _ in galois_orbits(primes) if m > 1]
+            # an empty unit-reduced block needs no character rank
+            orders = [m for _, m, _ in galois_orbits(primes)
+                      if m > 1 and unit_reduce(A)[0].rows]
             assert sorted(fld.m for fld in made) == sorted(set(orders))
             hits += (calls["inverse"] + calls["entry_mul"]
                      - sum(len(fld._inverses) + len(fld._products)
@@ -955,6 +1015,21 @@ class TestHironaka:
             reduced += k > 0
             plain += k == 0
         assert reduced == plain == 50
+
+    def test_empty_block_needs_no_character_rank(self, monkeypatch):
+        """connected-sum-4 unit-reduces to no rows, so every nontrivial
+        character has rank k and b1 = 4 + 3 (|G| - 1), as RS gives."""
+        def no_char_rank(*args):
+            raise AssertionError("char_rank called on an empty block")
+        P = get("connected-sum-4").presentation
+        cm = free_abelian_cover(P, (2, 3, 5, 7))
+        B, _ = unit_reduce(fox_alexander_matrix(P, abelianize(P)))
+        assert not B.rows
+        with monkeypatch.context() as patch:
+            patch.setattr(alexinv.covers, "char_rank", no_char_rank)
+            predicted = hironaka_predicted_betti(P, cm)
+        actual = cover_homology(reidemeister_schreier(cm)).rank
+        assert predicted == actual == 4 + 3 * 209
 
     def test_rejects_non_free_cover(self):
         P = get("mapping-torus-A").presentation

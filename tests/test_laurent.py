@@ -661,12 +661,14 @@ class TestParsePrint:
 
     def test_oversized_power_fails_fast(self):
         # (t+1)^n is bounded by (n + 1) * n * 2 bits: n = 723 is the last
-        # accepted; (t1+t2+t3+1)^n by (n + 1)^3 * n * 3 bits
+        # accepted; (t1+t2+t3+1)^n by C(n + 3, 3) * n * 3 bits, the lesser
+        # of its terms and its box (n + 1)^3, so n = 36 is the last
         assert len(parse_poly("(t+1)^723", 1).terms) == 724
         assert len(parse_poly("(t1+t2+t3+1)^5", 3).terms) == 56
         for text, arity, at in [("(t+1)^724", 1, 6),
                                 ("(t+1)^ 1000000", 1, 7),
-                                ("(t1+t2+t3+1)^26", 3, 13),
+                                ("(t1+t2+t3+1)^37", 3, 13),
+                                ("((t1+1)^9 (t2+1)^9)^1000000", 2, 20),
                                 ("2^1000000", 1, 2),
                                 ("(t^1000 + 1)^1000", 1, 13)]:
             start = time.perf_counter()
@@ -679,3 +681,37 @@ class TestParsePrint:
         assert parse_poly("(-t)^999999", 1) == -(t ** 999999)
         assert parse_poly("0^5", 1).is_zero()
         assert parse_poly("(t - 1)^2", 1) == t ** 2 - 2 * t + 1
+
+    def test_sparse_power_bounded_by_its_terms(self):
+        # (t^1000 + 1)^n has n + 1 terms, not the 1000 n + 1 of its box
+        for n in (100, 723):
+            assert parse_poly("(t^1000 + 1)^%d" % n, 1) == LaurentPoly(
+                1, {(1000 * k,): math.comb(n, k) for k in range(n + 1)})
+        with pytest.raises(ParseError, match="power too large"):
+            parse_poly("(t^1000 + 1)^724", 1)
+        f = parse_poly("(t1^100 + t2^100 + t3^100 + 1)^5", 3)
+        assert len(f.terms) == math.comb(8, 3) and sum(f.terms.values()) \
+            == 4 ** 5
+
+    def test_power_squares_only_to_its_top_bit(self, monkeypatch):
+        """Parsing (t1+t2+t3+1)^20 multiplies 64,288 term pairs; the unused
+        square of base^16 past the top bit would add 938,961."""
+        pairs = 0
+        dict_mul = alexinv.laurent._dict_mul
+
+        def counting_dict_mul(f, g):
+            nonlocal pairs
+            pairs += len(f) * len(g)
+            return dict_mul(f, g)
+        monkeypatch.setattr(alexinv.laurent, "_dict_mul", counting_dict_mul)
+        assert len(parse_poly("(t1+t2+t3+1)^20", 3).terms) == math.comb(23, 3)
+        assert 0 < pairs < 100_000, pairs
+
+    def test_multisets_exceed_matches_comb(self):
+        exceed = alexinv.laurent._multisets_exceed
+        for n, k, limit in product(range(1, 9), range(1, 9), (0, 1, 7, 120)):
+            assert exceed(n, k, limit) == (math.comb(n + k - 1, k) > limit)
+        # a binomial of some 10^6 digits, decided within a few steps
+        start = time.perf_counter()
+        assert exceed(10**6, 10**6, 1 << 20)
+        assert time.perf_counter() - start < 0.01
