@@ -8,13 +8,25 @@ Two conventions are exposed and never silently identified:
   presentation matrix, the GCD of the n x n minors (n = column count).
 
 Both are returned normalized, since they are only defined up to units.
+
+``RelativeFirstMinors`` takes the minors that delete one column only.  With
+a_j the image of generator x_j in Z^b1 and v_j = t^(a_j) - 1, Fox's
+fundamental formula sum_j (dr/dx_j)(x_j - 1) = r - 1 makes M v = 0 for the
+Fox matrix M.  Row operations keep this, and after :func:`unit_reduce` each
+cleared column is zero in the rows left, so the block B (s + 1 columns)
+has B v_B = 0.  The pivot rows are unit triangular on the cleared columns,
+so they put each cleared v_j in the ideal of the v_B; hence v_B != 0 when
+b1 >= 1, and g = gcd_j(v_j) is the same over B's columns as over all.  For
+each s-row set S the kernel relation gives D_(S,j) v_k = +-D_(S,k) v_j for
+the minors D deleting column j or k, so Delta = gcd_S(D_(S,k)) * g / v_k
+(Fox, "Free differential calculus I", Ann. of Math. 1953).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, prod
+from math import comb, gcd, prod
 
 from . import presentation as pres
 from .laurent import (LaurentPoly, Symmetry, classify_symmetry, divide_exact,
@@ -178,31 +190,77 @@ def unit_reduce(A):
     of A and the (s-k)-minors of B generate the same ideal (Fitting ideals
     under a change of presentation).
     """
+    B, live = _unit_block(A)
+    return B, A.ncols - len(live)
+
+
+def _unit_block(A):
+    """:func:`unit_reduce`'s block B and the columns of A it keeps."""
     pivots, rest = pres._eliminate_units(A.rows, LaurentPoly.is_unit,
                                          lambda u: u ** -1)
     live = sorted(set(range(A.ncols)).difference(pivots))
     zero = LaurentPoly.zero(A.arity)
     rows = [[row.get(j, zero) for j in live] for row in rest]
-    return AlexanderMatrix.from_rows(rows, A.arity, len(live)), len(pivots)
+    return AlexanderMatrix.from_rows(rows, A.arity, len(live)), live
 
 
-def _order(A, size, convention):
+def _binomial_gcd(vectors):
+    """w with gcd_j(t^(a_j) - 1) = t^w - 1 up to a unit, over the nonzero
+    vectors a_j, or None when that GCD is 1.  For primitive u, t^(m u) - 1
+    is the product of the primes Phi_d(t^u), d | m, and primes of distinct
+    directions +-u differ: so w = c u when every a_j is m_j u, c = gcd(m_j)."""
+    nonzero = [a for a in vectors if any(a)]
+    u = [x // gcd(*nonzero[0]) for x in nonzero[0]]
+    i = next(i for i, x in enumerate(u) if x)
+    m = [a[i] // u[i] for a in nonzero]
+    if any([c * x for x in u] != list(a) for c, a in zip(m, nonzero)):
+        return None
+    return tuple(gcd(*m) * x for x in u)
+
+
+def _order(A, size, convention, images=None):
     """GCD of the size x size minors of A, normalized, under the named
     convention.  The minors are taken of the block left after clearing unit
     entries (see :func:`unit_reduce`): with k units cleared, its
     (size-k)-minors generate the same ideal.  Zero when no minors of that
-    size exist."""
-    B, k = unit_reduce(A)
-    minors = elementary_minors(B, max(0, size - k))
-    return AlexanderPolynomial(gcd_list(minors, A.arity), convention)
+    size exist.
+
+    Given the generator images of a Fox matrix, only the minors deleting
+    the column k with a_k != 0 and the most terms are taken, and their GCD
+    is divided by v_k / g (see the module docstring)."""
+    B, live = _unit_block(A)
+    k = None  # the deleted column; with one column left, Delta is 1
+    if images is not None and B.ncols > 1:
+        k = max((j for j, c in enumerate(live) if any(images[c])),
+                key=lambda j: (sum(len(row[j].terms) for row in B.rows), -j))
+        B = AlexanderMatrix.from_rows(
+            [row[:k] + row[k + 1:] for row in B.rows], A.arity, B.ncols - 1)
+    minors = elementary_minors(B, max(0, size - A.ncols + len(live)))
+    delta = gcd_list(minors, A.arity)
+    if k is not None and delta:
+        a, w = images[live[k]], _binomial_gcd(images)
+        if w is None:  # q = v_k
+            q = {a: 1, (0,) * A.arity: -1}
+        else:  # q = v_k / (t^w - 1) up to a unit, |m| terms for a_k = m w
+            i = next(i for i, x in enumerate(w) if x)
+            q = {tuple(e * x for x in w): 1 for e in range(abs(a[i] // w[i]))}
+        if len(q) > 1:
+            delta = divide_exact(delta, LaurentPoly._own(A.arity, q))
+            if delta is None:
+                raise ArithmeticError("v_k / g does not divide the GCD")
+    return AlexanderPolynomial(delta, convention)
 
 
 def alexander_polynomial(P):
     """GCD of the (n-1) x (n-1) minors of the Fox matrix, normalized.  Zero
     when no minors of that size exist (e.g. free groups on >= 2
     generators); requires b_1 >= 1."""
-    return _order(fox_alexander_matrix(P), P.num_generators - 1,
-                  "RelativeFirstMinors")
+    return _relative_first_minors(P, pres.abelianize(P))
+
+
+def _relative_first_minors(P, ab):
+    return _order(fox_alexander_matrix(P, ab), P.num_generators - 1,
+                  "RelativeFirstMinors", ab.gen_images)
 
 
 def order_zero_direct(A):
@@ -359,8 +417,7 @@ def full_report(P):
     ab = pres.abelianize(P)
     if ab.rank < 1:
         raise ValueError("free rank is 0; no Alexander invariants")
-    delta = _order(fox_alexander_matrix(P, ab), P.num_generators - 1,
-                   "RelativeFirstMinors")
+    delta = _relative_first_minors(P, ab)
     checks = {}
     if delta.poly.is_zero():
         symmetry = None

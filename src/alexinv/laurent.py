@@ -13,6 +13,7 @@ unit; :func:`normalize` picks a canonical representative of each unit orbit.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from operator import add, mul
@@ -33,7 +34,9 @@ class ParseError(ValueError):
 MAX_EXPONENT = 10**6
 # Most bits a parsed power base^n may take, bounded by the terms it can
 # have (the lesser of its exponent box and C(terms + n - 1, n)) times
-# n * bits(|base|_1), the bits of its largest possible coefficient.
+# n * bits(|base|_1), the bits of its largest possible coefficient.  A
+# product f*g is bounded alike: the lesser of its box and |f| * |g| terms
+# times bits(|f|_1 * |g|_1).
 # Accepted powers expand in about two seconds at most: (t+1)^723 in 0.2 s,
 # the sparse (t^1000 + 1)^723 in 0.13 s, and the largest admitted powers of
 # v sparse monomials plus 1, (t1^9 + ... + tv^9 + 1)^n, in 0.3-2.0 s for
@@ -456,23 +459,33 @@ def _pack(f, strides, nslots, width):
 
 def _unpack(v, dims, nslots, width):
     """The polynomial whose balanced slots make v, or None if v needs more
-    than nslots slots.  Slots are read by byte slicing."""
+    than nslots slots.  Only the nonzero slots are read, by byte slicing."""
     nb = width // 8
-    zero = bytes(nb - 1) + b"\x80"  # 2^(width-1): a zero slot after the offset
-    v += int.from_bytes(zero * nslots, "little")
+    # 2^(width-1) in every slot: adding it clears the borrows, and xoring
+    # it back leaves each slot the two's complement of its coefficient;
+    # flags has one byte per slot, the OR of its bytes, so the runs of
+    # nonzero flags are the runs of nonzero slots
+    half = int.from_bytes((bytes(nb - 1) + b"\x80") * nslots, "little")
+    v += half
     if v < 0 or v.bit_length() > nslots * width:
         return None
-    raw = v.to_bytes(nslots * nb, "little")
-    half = 1 << (width - 1)
+    raw = (v ^ half).to_bytes(nslots * nb, "little")
+    flags = 0
+    for j in range(nb):
+        flags |= int.from_bytes(raw[j::nb], "little")
+    runs = re.finditer(rb"[^\0]+", flags.to_bytes(nslots, "little"))
+    slots = [i for run in runs for i in range(*run.span())]
+    coeffs = [int.from_bytes(raw[i * nb:i * nb + nb], "little", signed=True)
+              for i in slots]
+    if len(dims) == 1:
+        return {(i,): c for i, c in zip(slots, coeffs)}
     out = {}
-    for i in range(nslots):
-        chunk = raw[i * nb:(i + 1) * nb]
-        if chunk != zero:
-            e, rest = [], i
-            for d in dims:
-                rest, x = divmod(rest, d)
-                e.append(x)
-            out[tuple(e)] = int.from_bytes(chunk, "little") - half
+    for i, c in zip(slots, coeffs):
+        e = []
+        for d in dims:
+            i, x = divmod(i, d)
+            e.append(x)
+        out[tuple(e)] = c
     return out
 
 
@@ -874,12 +887,22 @@ class _PolyParser:
             ch = self.peek()
             if ch == "*":
                 self.pos += 1
-                result = result * self.factor()
-            elif ch.isdigit() or ch == "t" or ch == "(":
-                # juxtaposition, e.g. "2t" or "3(t+1)"
-                result = result * self.factor()
-            else:
+            elif not (ch.isdigit() or ch == "t" or ch == "("):
                 return result
+            # a product, or a juxtaposition such as "2t" or "3(t+1)"
+            self.skip_ws()
+            at = self.pos
+            other = self.factor()
+            if result and other:  # bounded as a power is
+                spans = zip(*result.exponent_range(), *other.exponent_range())
+                box = math.prod(b - a + d - c + 1 for a, b, c, d in spans)
+                norm = (sum(map(abs, result.terms.values()))
+                        * sum(map(abs, other.terms.values())))
+                if (min(box, len(result.terms) * len(other.terms))
+                        * norm.bit_length() > MAX_POWER_BITS):
+                    raise ParseError("product too large (over %d bits)"
+                                     % MAX_POWER_BITS, at)
+            result = result * other
 
     def factor(self):
         base = self.atom()

@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain
+from operator import add
 
 from .laurent import MAX_EXPONENT, LaurentPoly, ParseError
 
@@ -589,15 +590,18 @@ def fox_matrix(P, ab=None):
         ab = abelianize(P)
     if ab.rank < 1:
         raise ValueError("free rank is 0; no Alexander matrix")
+    images = ab.gen_images
+    negated = tuple(tuple(-x for x in img) for img in images)
     rows = []
     for rel in P.relators:
         terms = [{} for _ in range(P.num_generators)]
         e = (0,) * ab.rank
         for g, s in rel:
-            after = tuple(a + s * b for a, b in zip(e, ab.gen_images[g]))
-            key = e if s > 0 else after
+            if s > 0:
+                key, e = e, tuple(map(add, e, images[g]))
+            else:
+                key = e = tuple(map(add, e, negated[g]))
             terms[g][key] = terms[g].get(key, 0) + s
-            e = after
         rows.append(tuple(
             LaurentPoly._own(ab.rank, {k: c for k, c in t.items() if c})
             for t in terms))

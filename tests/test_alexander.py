@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -274,6 +275,124 @@ class TestUnitReduce:
         assert unit_reduce(fox_alexander_matrix(P))[1] == 0
         with pytest.raises(MinorBudgetError):
             alexander_polynomial(P)
+
+
+def random_presentation_b1(rng):
+    """A random presentation on 1-5 generators with at most as many
+    relators, half of them commutators; b1 ranges over 0-5."""
+    n = rng.randint(1, 5)
+
+    def word(length):
+        return tuple((rng.randrange(n), rng.choice((1, -1)))
+                     for _ in range(length))
+
+    relators = []
+    for _ in range(rng.randint(0, n)):
+        if rng.random() < 0.5:
+            u, v = word(rng.randint(1, 3)), word(rng.randint(1, 3))
+            relators.append(u + v + inverse_word(u) + inverse_word(v))
+        else:
+            relators.append(word(rng.randint(1, 9)))
+    return Presentation(tuple("g%d" % i for i in range(n)), relators)
+
+
+def rank_deficient_presentation(n, k):
+    """n generators; k relators, each the product of all n squares
+    x_i^{+-2} with seeded signs, then n - 1 - k products of two consecutive
+    earlier relators: a Fox block with no unit and Delta = 0."""
+    rng = random.Random(0)
+    relators = [tuple(letter for i in range(n)
+                      for letter in [(i, rng.choice((1, -1)))] * 2)
+                for _ in range(k)]
+    for j in range(n - 1 - k):
+        relators.append(relators[j] + relators[j + 1])
+    return Presentation(tuple("x%d" % i for i in range(n)), relators)
+
+
+def record_minors(monkeypatch):
+    """Record the minors each elementary_minors call returns."""
+    calls = []
+    original = alexinv.alexander.elementary_minors
+
+    def recording(A, size):
+        calls.append(original(A, size))
+        return calls[-1]
+
+    monkeypatch.setattr(alexinv.alexander, "elementary_minors", recording)
+    return calls
+
+
+class TestOneDeletedColumn:
+    """Delta from the minors that delete one column, divided by v_k / g,
+    against the GCD of every (n-1)-minor of the whole Fox matrix."""
+
+    def test_random_matches_unreduced_minors(self):
+        rng = random.Random(53)
+        cases, nonzero = Counter(), Counter()
+        while min(cases[b1] for b1 in (1, 2, 3)) < 200:
+            P = random_presentation_b1(rng)
+            b1 = abelianize(P).rank
+            if b1 not in (1, 2, 3):
+                continue
+            delta = alexander_polynomial(P).poly
+            assert delta == unreduced_delta(P), P
+            cases[b1] += 1
+            nonzero[b1] += not delta.is_zero()
+        assert min(nonzero[b1] for b1 in (1, 2, 3)) >= 30, nonzero
+
+    def test_minor_counts(self, monkeypatch):
+        calls = record_minors(monkeypatch)
+        P = parse_presentation("<x, y | x^1001*y^2>")
+        assert alexander_polynomial(P).poly == unreduced_delta(P)
+        # the x column, of 1001 terms, is the one deleted
+        assert [[len(m.terms) for m in minors] for minors in calls] == [[2]]
+        P = corpus.get("t3").presentation
+        B, k = unit_reduce(fox_alexander_matrix(P))
+        assert k == 0 and len(elementary_minors(B, 2)) == 9
+        calls.clear()
+        assert full_report(P).delta.poly.is_one()
+        assert [len(minors) for minors in calls] == [3]
+
+    def test_rank_deficient_block_from_one_minor(self, monkeypatch):
+        P = rank_deficient_presentation(8, 5)
+        A = fox_alexander_matrix(P)
+        assert (abelianize(P).rank, unit_reduce(A)[1]) == (3, 0)
+        calls = record_minors(monkeypatch)
+        assert alexander_polynomial(P).poly.is_zero()
+        assert [len(minors) for minors in calls] == [1]
+
+    def test_binomial_gcd_matches_laurent_gcd(self):
+        rng = random.Random(59)
+        seen = Counter()
+        for case in range(300):
+            arity = rng.randint(1, 3)
+            kind = ("parallel", "antiparallel", "skew")[case % 3]
+            u = [rng.randint(-3, 3) for _ in range(arity)]
+            if not any(u):
+                u[0] = 1
+            vectors = []
+            for _ in range(rng.randint(1, 4)):
+                if kind == "skew":
+                    a = [rng.randint(-6, 6) for _ in range(arity)]
+                else:
+                    m = rng.randint(1, 6)
+                    if kind == "antiparallel":
+                        m *= rng.choice((1, -1))
+                    a = [m * x for x in u]
+                vectors.append(tuple(a))
+            vectors.insert(rng.randint(0, len(vectors)), (0,) * arity)
+            if not any(map(any, vectors)):
+                continue
+            binomials = [LaurentPoly.monomial(1, a) - 1 for a in vectors]
+            w = alexinv.alexander._binomial_gcd(vectors)
+            want = LaurentPoly.one(arity) if w is None \
+                else normalize(LaurentPoly.monomial(1, w) - 1)
+            assert gcd_list(binomials, arity) == want, vectors
+            seen[kind] += 1
+            seen["gcd 1"] += w is None
+            seen["gcd t^w - 1, w not in the input"] += \
+                w is not None and w not in vectors
+        assert min(seen.values()) >= 30, seen
 
 
 class TestAlexanderPolynomial:

@@ -130,6 +130,15 @@ class TestClassify:
         assert err == ("error: power too large (over 1048576 bits) "
                        "(at position 6)\n")
 
+    def test_oversized_product(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", "(t1+1)^700*(t2+1)^700",
+                             "--arity", "2")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert err == ("error: product too large (over 1048576 bits) "
+                       "(at position 11)\n")
+
     def test_sparse_power_accepted(self, capsys):
         # 101 terms, though its exponent box has 100,001 slots
         code, out, _ = run(capsys, "classify", "(t^1000 + 1)^100")

@@ -420,6 +420,36 @@ class TestPackedQuotient:
             seen["wide slots"] += width > 8
         assert min(seen.values()) >= 40, seen
 
+    def test_unpack_reads_only_nonzero_slots(self):
+        """_unpack inverts pack_per_term on sparse and dense boxes, with
+        coefficients at both ends of the balanced slot range, and refuses a
+        value that needs more slots."""
+        rng = random.Random(14)
+        seen = Counter()
+        for case in range(240):
+            arity = rng.randint(1, 3)
+            dims = [rng.randint(1, 6) for _ in range(arity)]
+            strides, nslots = [], 1
+            for d in dims:
+                strides.append(nslots)
+                nslots *= d
+            width = 8 * rng.randint(1, 3)
+            top = 1 << (width - 1)
+            box = list(product(*map(range, dims)))
+            support = box if case % 2 else rng.sample(
+                box, rng.randint(0, min(3, len(box))))
+            f = {e: rng.choice((-top, top - 1, -1, 1, rng.randint(-top, top)))
+                 for e in support}
+            f = {e: c for e, c in f.items() if c and -top <= c < top}
+            v = pack_per_term(f, strides, nslots, width)
+            assert alexinv.laurent._unpack(v, dims, nslots, width) == f
+            assert alexinv.laurent._unpack(
+                v + (1 << (width * nslots)), dims, nslots, width) is None
+            seen["arity %d" % arity] += 1
+            seen["dense" if case % 2 else "sparse"] += 1
+            seen["slot minimum"] += -top in f.values()
+        assert min(seen.values()) >= 40, seen
+
     def test_long_division_agrees(self, monkeypatch):
         rng = random.Random(33)
         pairs = []
@@ -692,6 +722,46 @@ class TestParsePrint:
         f = parse_poly("(t1^100 + t2^100 + t3^100 + 1)^5", 3)
         assert len(f.terms) == math.comb(8, 3) and sum(f.terms.values()) \
             == 4 ** 5
+
+    def test_oversized_product_fails_fast(self):
+        # (t1+1)^700 * (t2+1)^700 has 701^2 terms of bits(2^1400) = 1401
+        # bits, far over the bound; it is refused before it is multiplied
+        for text, arity, at in [("(t1+1)^700*(t2+1)^700", 2, 11),
+                                ("((t1+1)^700 (t2+1)^700)^1000000", 2, 12),
+                                ("(t+1)^700 * (t+1)^700", 1, 12)]:
+            start = time.perf_counter()
+            with pytest.raises(ParseError, match="product too large") as err:
+                parse_poly(text, arity)
+            assert time.perf_counter() - start < 1
+            assert err.value.position == at
+        # bounded like the power it equals: (t+1)^723 is the last accepted
+        assert parse_poly("(t+1)^400*(t+1)^323", 1) == parse_poly(
+            "(t+1)^723", 1)
+        assert parse_poly("2t(t+1)^700", 1) == 2 * t * (t + 1) ** 700
+
+    def test_corpus_and_suite_polynomials_parse(self):
+        from alexinv import corpus
+        from alexinv.presentation import abelianize
+        from alexinv.verify import (run_b1_one_characterization,
+                                    run_blanchfield, run_levine)
+        texts = []
+        for entry in corpus.entries():
+            arity = abelianize(entry.presentation).rank
+            if "delta" in entry.expected and arity:
+                texts.append((entry.expected["delta"], arity))
+        for rep in run_levine(cases=50, max_degree=12):
+            texts += [(x, rep.inputs["arity"])
+                      for x in (rep.inputs["lambda"], rep.lhs, rep.rhs)]
+        for rep in run_b1_one_characterization(cases=50, max_degree=12):
+            texts += [(x, 1) for x in (rep.inputs["poly"], rep.lhs, rep.rhs)
+                      if x not in (None, "accepted", "rejected")]
+        for rep in run_blanchfield():
+            name = rep.inputs["name"]
+            texts.append((rep.inputs["delta"], abelianize(
+                corpus.get(name).presentation).rank))
+        assert len(texts) >= 350
+        for text, arity in texts:
+            assert format_poly(parse_poly(text, arity)) == text
 
     def test_power_squares_only_to_its_top_bit(self, monkeypatch):
         """Parsing (t1+t2+t3+1)^20 multiplies 64,288 term pairs; the unused
