@@ -170,38 +170,26 @@ class AlexanderPolynomial:
         return str(self.poly)
 
 
-def fox_alexander_matrix(P, ab=None):
-    """The Fox matrix of a presentation, wrapped with its shape data."""
-    if ab is None:
-        ab = pres.abelianize(P)
-    rows = pres.fox_matrix(P, ab)
-    return AlexanderMatrix(tuple(rows), P.num_generators, ab.rank)
+def unit_reduce(rows, ncols, arity):
+    """Clear the unit entries +-t^I of a matrix with ``ncols`` columns over
+    the Laurent ring in ``arity`` variables; returns the block B left, as
+    dense rows over the columns it keeps, and those live columns in order.
 
-
-def unit_reduce(A):
-    """Clear the unit entries +-t^I of A; returns the block B left and the
-    number k of units cleared.
-
+    A row is a sequence of entries or a dict {column: entry}, as the Fox
+    rows of :func:`~alexinv.presentation.fox_matrix` are.
     :func:`~alexinv.presentation._eliminate_units` clears the column of each
     unit u with multiples of its row scaled by u^-1 and drops its row and
-    column; B keeps the other columns in order, and no zero row.  Row
-    operations keep every ideal of minors, and the s-minors of diag(u, B)
-    generate the ideal of the (s-1)-minors of B, so for s >= k the s-minors
-    of A and the (s-k)-minors of B generate the same ideal (Fitting ideals
-    under a change of presentation).
+    column; B keeps no zero row.  Row operations keep every ideal of minors,
+    and the s-minors of diag(u, B) generate the ideal of the (s-1)-minors of
+    B, so with k = ncols - len(live) units cleared, for s >= k the s-minors
+    of the matrix and the (s-k)-minors of B generate the same ideal (Fitting
+    ideals under a change of presentation).
     """
-    B, live = _unit_block(A)
-    return B, A.ncols - len(live)
-
-
-def _unit_block(A):
-    """:func:`unit_reduce`'s block B and the columns of A it keeps."""
-    pivots, rest = pres._eliminate_units(A.rows, LaurentPoly.is_unit,
+    pivots, rest = pres._eliminate_units(rows, LaurentPoly.is_unit,
                                          lambda u: u ** -1)
-    live = sorted(set(range(A.ncols)).difference(pivots))
-    zero = LaurentPoly.zero(A.arity)
-    rows = [[row.get(j, zero) for j in live] for row in rest]
-    return AlexanderMatrix.from_rows(rows, A.arity, len(live)), live
+    live = sorted(set(range(ncols)).difference(pivots))
+    zero = LaurentPoly.zero(arity)
+    return [[row.get(j, zero) for j in live] for row in rest], live
 
 
 def _binomial_gcd(vectors):
@@ -218,37 +206,38 @@ def _binomial_gcd(vectors):
     return tuple(gcd(*m) * x for x in u)
 
 
-def _order(A, size, convention, images=None):
-    """GCD of the size x size minors of A, normalized, under the named
-    convention.  The minors are taken of the block left after clearing unit
-    entries (see :func:`unit_reduce`): with k units cleared, its
-    (size-k)-minors generate the same ideal.  Zero when no minors of that
-    size exist.
+def _order(rows, ncols, arity, images=None):
+    """Normalized GCD of the ncols-minors (``OrderZeroDirect``) or, given
+    the generator images of Fox rows, of the (ncols-1)-minors
+    (``RelativeFirstMinors``) of a matrix with rows as for
+    :func:`unit_reduce`, taken of its block B; zero when none exist.
 
-    Given the generator images of a Fox matrix, only the minors deleting
-    the column k with a_k != 0 and the most terms are taken, and their GCD
-    is divided by v_k / g (see the module docstring)."""
-    B, live = _unit_block(A)
-    k = None  # the deleted column; with one column left, Delta is 1
-    if images is not None and B.ncols > 1:
+    Given the images, only the minors deleting the column k of B with
+    a_k != 0 and the most terms are taken, and their GCD is divided by
+    v_k / g (see the module docstring; with one live column, Delta is 1).
+    B becomes an :class:`AlexanderMatrix` once, without column k."""
+    B, live = unit_reduce(rows, ncols, arity)
+    fox = images is not None
+    if fox:
         k = max((j for j, c in enumerate(live) if any(images[c])),
-                key=lambda j: (sum(len(row[j].terms) for row in B.rows), -j))
-        B = AlexanderMatrix.from_rows(
-            [row[:k] + row[k + 1:] for row in B.rows], A.arity, B.ncols - 1)
-    minors = elementary_minors(B, max(0, size - A.ncols + len(live)))
-    delta = gcd_list(minors, A.arity)
-    if k is not None and delta:
+                key=lambda j: (sum(len(row[j].terms) for row in B), -j))
+        B = [row[:k] + row[k + 1:] for row in B]
+    size = len(live) - fox
+    delta = gcd_list(elementary_minors(
+        AlexanderMatrix.from_rows(B, arity, size), size), arity)
+    if fox and delta:
         a, w = images[live[k]], _binomial_gcd(images)
         if w is None:  # q = v_k
-            q = {a: 1, (0,) * A.arity: -1}
+            q = {a: 1, (0,) * arity: -1}
         else:  # q = v_k / (t^w - 1) up to a unit, |m| terms for a_k = m w
             i = next(i for i, x in enumerate(w) if x)
             q = {tuple(e * x for x in w): 1 for e in range(abs(a[i] // w[i]))}
         if len(q) > 1:
-            delta = divide_exact(delta, LaurentPoly._own(A.arity, q))
+            delta = divide_exact(delta, LaurentPoly._own(arity, q))
             if delta is None:
                 raise ArithmeticError("v_k / g does not divide the GCD")
-    return AlexanderPolynomial(delta, convention)
+    return AlexanderPolynomial(delta, "RelativeFirstMinors" if fox
+                               else "OrderZeroDirect")
 
 
 def alexander_polynomial(P):
@@ -259,8 +248,8 @@ def alexander_polynomial(P):
 
 
 def _relative_first_minors(P, ab):
-    return _order(fox_alexander_matrix(P, ab), P.num_generators - 1,
-                  "RelativeFirstMinors", ab.gen_images)
+    return _order(pres.fox_matrix(P, ab), P.num_generators, ab.rank,
+                  ab.gen_images)
 
 
 def order_zero_direct(A):
@@ -268,7 +257,7 @@ def order_zero_direct(A):
     of its n x n minors, n = column count.  Rows are implicitly padded with
     zeros when there are fewer rows than columns, which makes every minor
     vanish; the empty 0 x 0 matrix yields 1."""
-    return _order(A, A.ncols, "OrderZeroDirect")
+    return _order(A.rows, A.ncols, A.arity)
 
 
 # ----------------------------------------------------------------------

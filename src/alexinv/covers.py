@@ -14,8 +14,7 @@ from itertools import product
 from math import comb, prod
 
 from . import presentation as pres
-from .alexander import (alexander_polynomial, fox_alexander_matrix,
-                        unit_reduce)
+from .alexander import AlexanderMatrix, alexander_polynomial, unit_reduce
 from .cyclotomic import (CyclotomicField, bareiss_rank, character_evaluation,
                          character_order, galois_orbits)
 from .laurent import is_prime, root_of_unity_norm
@@ -288,20 +287,22 @@ def hironaka_predicted_betti(P, cm):
     to P(chi^a) and keeps its rank: one rank per Galois orbit of characters,
     weighted by the orbit's size, gives the total.  Requires a cover below
     the universal free abelian cover, with one prime per free coordinate.
-    Ranks are taken on B, k = unit_reduce(P), as rank P(chi) = k + rank
-    B(chi): the cleared pivots +-t^I evaluate to roots of unity, so the row
-    operations stay invertible and the pivot rows unit-triangular at every
-    chi.  The characters share one field per order for the whole call.
+    The sparse Fox rows go to :func:`~alexinv.alexander.unit_reduce`, and
+    ranks are taken on its block B, with k = R - len(live) units cleared,
+    as rank P(chi) = k + rank B(chi): the cleared pivots +-t^I evaluate to
+    roots of unity, so the row operations stay invertible and the pivot
+    rows unit-triangular at every chi.  Only B is made dense.  The
+    characters share one field per order for the whole call.
     """
     ab = abelianize(P)
     if cm.assignment != _free_abelian_assignment(ab, cm.deck.primes):
         raise ValueError("cover does not lie below the universal free "
                          "abelian cover in the Smith basis")
-    A = fox_alexander_matrix(P, ab)
-    B, k = unit_reduce(A)
-    fields, n = {}, A.ncols - 1 - k
-    if not B.rows:  # rank A(chi) = k at every character: no field needed
+    B, live = unit_reduce(pres.fox_matrix(P, ab), P.num_generators, ab.rank)
+    fields, n = {}, len(live) - 1
+    if not B:  # rank P(chi) = k at every character: no field needed
         return ab.rank + max(0, n) * (cm.deck.order - 1)
+    B = AlexanderMatrix.from_rows(B, ab.rank, len(live))
     total = sum(size * max(0, n - char_rank(B, chi, cm.deck, fields))
                 for chi, size in cm.deck.character_orbits())
     return ab.rank + total

@@ -3,9 +3,10 @@
 A word is a tuple of (generator index, sign) letters, kept freely reduced.
 From a presentation this module computes the abelianization via an exact
 integer Smith normal form, the induced map onto the free part of H_1,
-and Fox derivatives of relators, which feed the Alexander matrix.  When
-only the invariant factors are needed, sparse elimination of unit pivots
-finds them without a transform.
+and Fox derivatives of relators as sparse rows {generator: entry}, which
+feed the unit reduction of :mod:`alexinv.alexander`.  When only the
+invariant factors are needed, sparse elimination of unit pivots finds them
+without a transform.
 
 The text format is ``<x, y | x*y*X*Y, ...>``: lowercase names declare
 generators, an uppercase letter is the inverse of the corresponding
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain
@@ -577,14 +579,15 @@ def mod_p_rank(A, p):
 # ----------------------------------------------------------------------
 
 def fox_matrix(P, ab=None):
-    """Relator-by-generator matrix of abelianized Fox derivatives.
+    """Abelianized Fox derivatives, one sparse row per relator.
 
-    Entry (i, j) is the image of d(r_i)/d(x_j) in the Laurent ring on
-    rank-many variables.  Requires free rank >= 1.  Each relator is read
-    once, tracking the image e of the prefix in Z^rank: a letter x_j adds
-    t^e to entry j, a letter x_j^-1 adds -t^(e - img x_j).  This is the
-    product rule d(uv)/dx = du/dx + u dv/dx of the free derivative pushed
-    through abelianization.
+    Row i is a dict {j: d(r_i)/d(x_j)} over the generators j, in ascending
+    order, holding only the nonzero entries; each entry is the image of the
+    derivative in the Laurent ring on rank-many variables.  Requires free
+    rank >= 1.  Each relator is read once, tracking the image e of the
+    prefix in Z^rank: a letter x_j adds t^e to entry j, a letter x_j^-1
+    adds -t^(e - img x_j).  This is the product rule d(uv)/dx = du/dx +
+    u dv/dx of the free derivative pushed through abelianization.
     """
     if ab is None:
         ab = abelianize(P)
@@ -594,7 +597,7 @@ def fox_matrix(P, ab=None):
     negated = tuple(tuple(-x for x in img) for img in images)
     rows = []
     for rel in P.relators:
-        terms = [{} for _ in range(P.num_generators)]
+        terms = defaultdict(dict)
         e = (0,) * ab.rank
         for g, s in rel:
             if s > 0:
@@ -602,7 +605,10 @@ def fox_matrix(P, ab=None):
             else:
                 key = e = tuple(map(add, e, negated[g]))
             terms[g][key] = terms[g].get(key, 0) + s
-        rows.append(tuple(
-            LaurentPoly._own(ab.rank, {k: c for k, c in t.items() if c})
-            for t in terms))
+        row = {}
+        for g in sorted(terms):
+            t = {k: c for k, c in terms[g].items() if c}
+            if t:
+                row[g] = LaurentPoly._own(ab.rank, t)
+        rows.append(row)
     return tuple(rows)

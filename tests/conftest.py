@@ -12,7 +12,8 @@ lists, root-of-unity norms from a product in the group ring,
 inverses and norms in Q(zeta_m) from a Euclid over Q in Fractions,
 Reidemeister-Schreier rewriting by stepping a coset tuple per letter,
 Kronecker packing slot by slot, and Fox derivatives in the free group
-ring itself, before abelianization.
+ring itself, before abelianization.  The dense Fox matrix, every zero
+entry included, feeds the minors of the whole matrix.
 """
 
 from collections import Counter
@@ -25,10 +26,12 @@ from math import prod
 import pytest
 
 import alexinv.laurent
+from alexinv.alexander import AlexanderMatrix
 from alexinv.covers import CoverPresentation
 from alexinv.cyclotomic import cyclotomic_polynomial
 from alexinv.laurent import LaurentPoly, MonomialUnit
-from alexinv.presentation import Presentation, reduce_word
+from alexinv.presentation import (Presentation, abelianize, fox_matrix,
+                                  reduce_word)
 
 
 def int_det(A):
@@ -224,6 +227,16 @@ def rescan_unit_reduce(rows, ncols):
         zero = LaurentPoly.zero(next(iter(row.values())).arity)
         return [row.get(j, zero) for j in live]
     return [dense(row) for row in rest], len(pivots)
+
+
+def dense_fox_matrix(P, ab=None):
+    """The Fox matrix of a presentation as a dense :class:`AlexanderMatrix`,
+    one entry per (relator, generator) pair, zeros included."""
+    ab = abelianize(P) if ab is None else ab
+    zero = LaurentPoly.zero(ab.rank)
+    return AlexanderMatrix.from_rows(
+        [[row.get(j, zero) for j in range(P.num_generators)]
+         for row in fox_matrix(P, ab)], ab.rank, P.num_generators)
 
 
 def product_galois_orbits(primes):

@@ -13,17 +13,17 @@ from alexinv.alexander import (AlexanderMatrix, LevineHypothesisError,
                                MinorBudgetError, alexander_polynomial,
                                characterize_b1_one, check_blanchfield,
                                check_levine_hypotheses, det,
-                               elementary_minors, fox_alexander_matrix,
-                               full_report, levine_extend, order_zero_direct,
+                               elementary_minors, full_report,
+                               levine_extend, order_zero_direct,
                                torsion_order_b1_one, unit_reduce)
 from alexinv.laurent import LaurentPoly, gcd_list, normalize, parse_poly
-from alexinv.presentation import (Presentation, abelianize, inverse_word,
-                                  parse_presentation)
+from alexinv.presentation import (Presentation, abelianize, fox_matrix,
+                                  inverse_word, parse_presentation)
 from alexinv.verify import (random_matrix, random_poly,
                             random_symmetric_nonzero_trace,
                             random_unit_symmetric_nonzero_trace)
-from conftest import (cofactor_det, palindrome_unit_symmetric,
-                      rescan_unit_reduce)
+from conftest import (cofactor_det, dense_fox_matrix,
+                      palindrome_unit_symmetric, rescan_unit_reduce)
 
 t = LaurentPoly.variable(0, 1)
 
@@ -159,7 +159,7 @@ def permutation_sign(perm):
 
 def unreduced_delta(P):
     """The defining GCD of all (n-1)-minors of the whole Fox matrix."""
-    A = fox_alexander_matrix(P)
+    A = dense_fox_matrix(P)
     return normalize(gcd_list(elementary_minors(A, A.ncols - 1), A.arity))
 
 
@@ -219,17 +219,17 @@ class TestUnitReduce:
                 return random_symmetric_nonzero_trace(rng, arity, 2)
             A = AlexanderMatrix.from_rows(
                 [[entry() for _ in range(n)] for _ in range(m)], arity, n)
-            B, k = unit_reduce(A)
-            assert ([list(row) for row in B.rows], k) == \
-                rescan_unit_reduce(A.rows, A.ncols)
-            several += k >= 2 and B.nrows > 0
+            B, live = unit_reduce(A.rows, n, arity)
+            k = n - len(live)
+            assert (B, k) == rescan_unit_reduce(A.rows, n)
+            several += k >= 2 and len(B) > 0
         assert several >= 50
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_companion_mapping_tori(self, n):
         P = corpus.mapping_torus(companion(n)).presentation
-        B, k = unit_reduce(fox_alexander_matrix(P))
-        assert k == n - 1 and B.ncols == 2
+        B, live = unit_reduce(fox_matrix(P), P.num_generators, 1)
+        assert P.num_generators - len(live) == n - 1 and len(live) == 2
         tn = LaurentPoly.variable(0, 1)
         assert alexander_polynomial(P).poly == unreduced_delta(P) \
             == tn ** n - tn - 1
@@ -241,16 +241,42 @@ class TestUnitReduce:
             P = random_presentation(rng)
             if abelianize(P).rank < 1:
                 continue
-            A = fox_alexander_matrix(P)
-            B, k = unit_reduce(A)
-            assert B.ncols == A.ncols - k and B.nrows <= A.nrows - k
-            assert not any(e.is_unit() for row in B.rows for e in row)
+            A = dense_fox_matrix(P)
+            B, live = unit_reduce(fox_matrix(P), A.ncols, A.arity)
+            k = A.ncols - len(live)
+            assert all(len(row) == len(live) for row in B)
+            assert len(B) <= A.nrows - k
+            assert not any(e.is_unit() for row in B for e in row)
             no_units += k == 0 and any(e for row in A.rows for e in row)
-            no_rows += k > 0 and B.nrows == 0
+            no_rows += k > 0 and not B
             empty_minor += k == A.ncols - 1
             assert alexander_polynomial(P).poly == unreduced_delta(P)
             checked += 1
         assert min(no_units, no_rows, empty_minor) >= 20
+
+    def test_dict_rows_match_dense_rows(self):
+        """The sparse Fox rows and their dense form, zeros included, give
+        the same block and live columns: on the corpus, the order-poly
+        ladder of the benchmark and seeded random presentations."""
+        cases = [entry.presentation for entry in corpus.entries()]
+        cases += [corpus.mapping_torus(companion(n)).presentation
+                  for n in (3, 4, 5, 6)]
+        cases += [parse_presentation("<x, y | x^%d*y^2>" % k)
+                  for k in (251, 501, 1001)]
+        rng = random.Random(47)
+        while len(cases) < 200:
+            P = random_presentation(rng)
+            if abelianize(P).rank >= 1:
+                cases.append(P)
+        cleared = kept = 0
+        for P in cases:
+            ab = abelianize(P)
+            dense = dense_fox_matrix(P, ab)
+            B, live = unit_reduce(fox_matrix(P, ab), dense.ncols, ab.rank)
+            assert (B, live) == unit_reduce(dense.rows, dense.ncols, ab.rank)
+            cleared += len(live) < dense.ncols
+            kept += len(B) > 0
+        assert cleared >= 80 and kept >= 60
 
     def test_reduction_keeps_the_ideal(self):
         # u + B, u a unit: clearing u leaves B, one size smaller
@@ -260,8 +286,9 @@ class TestUnitReduce:
             [[-t1 ** -1, zero, zero],
              [t2 - 1, 1 - t1, zero],
              [t1 + 1, t2 - 1, t1 * t2 - 1]], 2)
-        B, k = unit_reduce(A)
-        assert k == 1 and B.rows == ((1 - t1, zero), (t2 - 1, t1 * t2 - 1))
+        B, live = unit_reduce(A.rows, 3, 2)
+        assert live == [1, 2] and B == [[1 - t1, zero], [t2 - 1, t1 * t2 - 1]]
+        B = AlexanderMatrix.from_rows(B, 2, 2)
         for s in (1, 2):
             assert gcd_list(elementary_minors(A, s + 1), 2) \
                 == gcd_list(elementary_minors(B, s), 2)
@@ -272,7 +299,7 @@ class TestUnitReduce:
         P = parse_presentation("<%s | %s>" % (", ".join(gens), ", ".join(
             "[%s,%s]" % (a, b) for i, a in enumerate(gens)
             for b in gens[i + 1:])))
-        assert unit_reduce(fox_alexander_matrix(P))[1] == 0
+        assert unit_reduce(fox_matrix(P), 8, 8)[1] == list(range(8))
         with pytest.raises(MinorBudgetError):
             alexander_polynomial(P)
 
@@ -347,16 +374,17 @@ class TestOneDeletedColumn:
         # the x column, of 1001 terms, is the one deleted
         assert [[len(m.terms) for m in minors] for minors in calls] == [[2]]
         P = corpus.get("t3").presentation
-        B, k = unit_reduce(fox_alexander_matrix(P))
-        assert k == 0 and len(elementary_minors(B, 2)) == 9
+        B, live = unit_reduce(fox_matrix(P), 3, 3)
+        B = AlexanderMatrix.from_rows(B, 3, 3)
+        assert live == [0, 1, 2] and len(elementary_minors(B, 2)) == 9
         calls.clear()
         assert full_report(P).delta.poly.is_one()
         assert [len(minors) for minors in calls] == [3]
 
     def test_rank_deficient_block_from_one_minor(self, monkeypatch):
         P = rank_deficient_presentation(8, 5)
-        A = fox_alexander_matrix(P)
-        assert (abelianize(P).rank, unit_reduce(A)[1]) == (3, 0)
+        assert abelianize(P).rank == 3
+        assert unit_reduce(fox_matrix(P), 8, 3)[1] == list(range(8))
         calls = record_minors(monkeypatch)
         assert alexander_polynomial(P).poly.is_zero()
         assert [len(minors) for minors in calls] == [1]
@@ -501,7 +529,7 @@ class TestOrderZeroDirect:
                     for rws in combinations(range(A.nrows), A.ncols)]
             want = normalize(gcd_list(dets, A.arity))
             assert order_zero_direct(A).poly == want
-            k = unit_reduce(A)[1]
+            k = A.ncols - len(unit_reduce(A.rows, A.ncols, A.arity)[1])
             cleared += k >= 1
             fewer += A.nrows < A.ncols
             fewer_cleared += A.nrows < A.ncols and k >= 1
@@ -657,7 +685,7 @@ class TestFullReport:
             assert len(calls) == 1, name
 
     def test_fox_matrix_shapes(self):
-        A = fox_alexander_matrix(parse_presentation("<x | >"))
+        A = dense_fox_matrix(parse_presentation("<x | >"))
         assert (A.nrows, A.ncols, A.arity) == (0, 1, 1)
 
 
@@ -680,8 +708,8 @@ class TestNoUnitPresentations:
     @pytest.mark.parametrize("n", [6, 7])
     def test_bareiss_matches_cofactor_path(self, monkeypatch, n):
         P = no_unit_presentation(n)
-        A = fox_alexander_matrix(P)
-        assert unit_reduce(A)[1] == 0
+        A = dense_fox_matrix(P)
+        assert unit_reduce(A.rows, A.ncols, A.arity)[1] == list(range(n))
         fast = alexander_polynomial(P).poly
         monkeypatch.setattr(alexinv.alexander, "det", cofactor_det)
         assert alexander_polynomial(P).poly == fast

@@ -10,8 +10,7 @@ import pytest
 import alexinv.covers
 import alexinv.cyclotomic
 from alexinv import presentation
-from alexinv.alexander import (AlexanderMatrix, fox_alexander_matrix,
-                               unit_reduce)
+from alexinv.alexander import AlexanderMatrix, unit_reduce
 from alexinv.corpus import entries, get, mapping_torus
 from alexinv.covers import (Character, CoverIndexError, CoverMap, DeckGroup,
                             b1_ge_4_consistency, char_rank, cover_homology,
@@ -23,10 +22,10 @@ from alexinv.cyclotomic import (CyclotomicField, bareiss_rank,
                                 cyclotomic_norm, cyclotomic_polynomial,
                                 galois_orbits)
 from alexinv.laurent import LaurentPoly, parse_poly
-from alexinv.presentation import (Presentation, abelianize, inverse_word,
-                                  parse_presentation)
+from alexinv.presentation import (Presentation, abelianize, fox_matrix,
+                                  inverse_word, parse_presentation)
 from alexinv.verify import _cover_prime_tuples, random_matrix
-from conftest import (fraction_euclid, int_det, mat_pow,
+from conftest import (dense_fox_matrix, fraction_euclid, int_det, mat_pow,
                       product_galois_orbits, root_power, tuple_step_rs)
 
 T3 = parse_presentation("<x,y,z | [x,y], [x,z], [y,z]>")
@@ -446,7 +445,7 @@ class TestCharacterOrbits:
         rows = random_matrix(random.Random(3), 3, 3, arity).rows
         matrices = [AlexanderMatrix.from_rows(
             [[phi * x for x in rows[0]]] + list(rows[1:]), arity)]
-        matrices += [fox_alexander_matrix(P) for P in (T3, HEIS, T4)
+        matrices += [dense_fox_matrix(P) for P in (T3, HEIS, T4)
                      if abelianize(P).rank == arity]
         assert len(matrices) == 2
         random_ranks = set()
@@ -829,13 +828,13 @@ class TestTorsionCoverFormula:
 
 class TestCharRank:
     def test_trivial_character_is_rational_rank(self):
-        A = fox_alexander_matrix(get("mapping-torus-A").presentation)
+        A = dense_fox_matrix(get("mapping-torus-A").presentation)
         assert char_rank(A, Character((0,)), DeckGroup((3,))) == 2
 
     def test_nontrivial_characters(self):
         # delta(rho) = rho^2 - 4 rho + 1 = -5 rho != 0 using
         # rho^2 + rho + 1 = 0, so the rank stays 2
-        A = fox_alexander_matrix(get("mapping-torus-A").presentation)
+        A = dense_fox_matrix(get("mapping-torus-A").presentation)
         deck = DeckGroup((3,))
         for e in (1, 2):
             assert char_rank(A, Character((e,)), deck) == 2
@@ -903,7 +902,7 @@ class TestHironaka:
         for entry in entries():
             P = entry.presentation
             ab = abelianize(P)
-            A = fox_alexander_matrix(P, ab)
+            A = dense_fox_matrix(P, ab)
             for primes in product((2, 3, 5, 7), repeat=ab.rank):
                 if prod(primes) > 50:
                     continue
@@ -954,7 +953,7 @@ class TestHironaka:
         hits = mixed = 0
         for P, primes in self.shared_work_covers():
             ab = abelianize(P)
-            A = fox_alexander_matrix(P, ab)
+            A = dense_fox_matrix(P, ab)
             cm = free_abelian_cover(P, primes)
             oracle = ab.rank + sum(
                 max(0, A.ncols - 1 - char_rank(A, chi, cm.deck))
@@ -970,7 +969,7 @@ class TestHironaka:
                     (str(P), primes)
             # an empty unit-reduced block needs no character rank
             orders = [m for _, m, _ in galois_orbits(primes)
-                      if m > 1 and unit_reduce(A)[0].rows]
+                      if m > 1 and unit_reduce(A.rows, A.ncols, A.arity)[0]]
             assert sorted(fld.m for fld in made) == sorted(set(orders))
             hits += (calls["inverse"] + calls["entry_mul"]
                      - sum(len(fld._inverses) + len(fld._products)
@@ -979,12 +978,15 @@ class TestHironaka:
         assert hits > 0 and mixed >= 4
 
     def test_rank_on_unit_reduced_block(self):
-        """rank A(chi) = k + rank B(chi) for B, k = unit_reduce(A): at every
-        orbit representative of the covers above, and at every character
-        of seeded random matrices with and without planted units."""
+        """rank A(chi) = k + rank B(chi) for the block B that unit_reduce
+        leaves of A after clearing k units: at every orbit representative
+        of the covers above, and at every character of seeded random
+        matrices with and without planted units."""
         for P, primes in self.shared_work_covers():
-            A = fox_alexander_matrix(P, abelianize(P))
-            B, k = unit_reduce(A)
+            A = dense_fox_matrix(P, abelianize(P))
+            B, live = unit_reduce(A.rows, A.ncols, A.arity)
+            k, B = A.ncols - len(live), AlexanderMatrix.from_rows(
+                B, A.arity, len(live))
             deck = DeckGroup(primes)
             for chi, _ in deck.character_orbits():
                 assert char_rank(A, chi, deck) == \
@@ -1007,7 +1009,9 @@ class TestHironaka:
                         LaurentPoly.monomial(rng.choice((1, -1)), tuple(
                             rng.randint(-2, 2) for _ in range(arity)))
             A = AlexanderMatrix.from_rows(rows, arity, ncols)
-            B, k = unit_reduce(A)
+            B, live = unit_reduce(rows, ncols, arity)
+            k, B = ncols - len(live), AlexanderMatrix.from_rows(
+                B, arity, len(live))
             assert (k > 0) == bool(case % 2)
             for chi in deck.characters():
                 assert char_rank(A, chi, deck) == \
@@ -1023,8 +1027,7 @@ class TestHironaka:
             raise AssertionError("char_rank called on an empty block")
         P = get("connected-sum-4").presentation
         cm = free_abelian_cover(P, (2, 3, 5, 7))
-        B, _ = unit_reduce(fox_alexander_matrix(P, abelianize(P)))
-        assert not B.rows
+        assert not unit_reduce(fox_matrix(P), 4, 4)[0]
         with monkeypatch.context() as patch:
             patch.setattr(alexinv.covers, "char_rank", no_char_rank)
             predicted = hironaka_predicted_betti(P, cm)
