@@ -25,7 +25,18 @@ EXIT_RESOURCE = 3
 
 
 def _emit(payload):
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    # a torsion order can pass Python's cap on int-to-str conversion
+    # (4300 digits): |Tor H_1| of the p-fold cyclic cover of
+    # mapping-torus-A has about 0.57 p digits.  The cap is lifted for the
+    # output only, where the function exists.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def _fail(message, code):

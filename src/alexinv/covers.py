@@ -3,13 +3,17 @@
 A cover is described by a surjection of the fundamental group onto a
 direct sum of prime cyclic groups; the kernel presentation is produced by
 Reidemeister-Schreier rewriting from a coset table over a breadth-first
-Schreier transversal.  Character evaluations of Alexander matrices happen
+Schreier transversal.  The cover checks first restrict the map to a
+Tietze-reduced base (:func:`tietze_reduced`), so a generator that a
+relator solves for is eliminated once on the base rather than once per
+coset in the cover.  Character evaluations of Alexander matrices happen
 in exact cyclotomic arithmetic (:mod:`alexinv.cyclotomic`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from math import comb, prod
 
@@ -123,11 +127,23 @@ class CoverMap:
 @dataclass(frozen=True)
 class CoverPresentation:
     """Kernel presentation from Reidemeister-Schreier rewriting, plus the
-    coset transversal that produced it (words in the base generators)."""
+    spanning tree of the coset graph that produced it: ``tree[c]`` is the
+    (parent coset, base generator) pair of the tree edge into coset c, and
+    None at the identity coset 0.  The transversal words are built from it
+    when first read; stored per coset, they would take memory quadratic in
+    the depth of the tree."""
 
     presentation: Presentation
-    transversal: tuple
+    tree: tuple
     cover_map: CoverMap = field(repr=False, default=None)
+
+    @cached_property
+    def transversal(self):
+        """The word in the base generators of each coset's tree path."""
+        words = [()]
+        for parent, g in self.tree[1:]:
+            words.append(words[parent] + ((g, 1),))
+        return tuple(words)
 
 
 def mod_p_betti(P, p):
@@ -172,6 +188,18 @@ def free_abelian_cover(P, primes):
                     _free_abelian_assignment(abelianize(P), primes))
 
 
+def tietze_reduced(cm):
+    """The cover map restricted to the Tietze reduction of its base
+    (:func:`~alexinv.presentation.tietze_reduce`): the kept generators keep
+    their images.  The group and its map onto the deck group do not change,
+    so neither does the cover, its H_1 or its d_p; RS just rewrites fewer
+    generators and relators.  With nothing eliminated, cm comes back."""
+    Q, kept = pres.tietze_reduce(cm.base)
+    if Q is cm.base:
+        return cm
+    return CoverMap(Q, cm.deck, tuple(cm.assignment[g] for g in kept))
+
+
 def reidemeister_schreier(cm, max_index=DEFAULT_MAX_INDEX):
     """Presentation of the kernel of a cover map, from a coset table.
 
@@ -181,7 +209,11 @@ def reidemeister_schreier(cm, max_index=DEFAULT_MAX_INDEX):
     ``schreier[c][g]`` numbers the Schreier generator of the edge (c, g),
     or is None on a tree edge.  So the transversal is prefix closed and
     deterministic, and |deck|*n - (|deck| - 1) generators and |deck|*m
-    rewritten relators remain.
+    rewritten relators remain.  Each coset keeps only the (parent,
+    generator) pair of its tree edge, so time and memory are linear in
+    |deck|*(n + the relators' length); the transversal words are built
+    only if :attr:`CoverPresentation.transversal` is read.  The base is
+    rewritten as given: the cover checks pass :func:`tietze_reduced` maps.
 
     ``Presentation``'s checks hold by construction and are skipped: names
     ``<base>_<coset>`` are valid and unique, as base names are and the
@@ -205,7 +237,7 @@ def reidemeister_schreier(cm, max_index=DEFAULT_MAX_INDEX):
     back = [[0] * order for _ in range(n)]
     schreier = [[None] * n for _ in range(order)]
     gen_names = []
-    transversal = [()]
+    tree = [None]
     elements = [0]  # the mixed-radix number of each coset
     coset_of = [0] + [None] * (order - 1)
     for c, x in enumerate(elements):
@@ -214,7 +246,7 @@ def reidemeister_schreier(cm, max_index=DEFAULT_MAX_INDEX):
             if coset_of[y] is None:
                 coset_of[y] = len(elements)
                 elements.append(y)
-                transversal.append(transversal[c] + ((g, 1),))
+                tree.append((c, g))
             else:
                 schreier[c][g] = len(gen_names)
                 gen_names.append("%s_%d" % (base.generator_names[g], c))
@@ -237,7 +269,7 @@ def reidemeister_schreier(cm, max_index=DEFAULT_MAX_INDEX):
     relators = tuple(rewrite(rel, c)
                      for c in range(order) for rel in base.relators)
     return CoverPresentation(Presentation._own(tuple(gen_names), relators),
-                             tuple(transversal), cm)
+                             tuple(tree), cm)
 
 
 def cover_homology(cp):
@@ -329,9 +361,10 @@ class VerifyReport:
 
 
 def verify_torsion_cover_formula(P, primes, max_index=DEFAULT_MAX_INDEX):
-    """Compare |Tor H_1| of the cover (Reidemeister-Schreier plus Smith
-    form) against the exact product of the order polynomial over the
-    corresponding roots of unity -- two independent pipelines.
+    """Compare |Tor H_1| of the cover (Reidemeister-Schreier on the
+    Tietze-reduced base, plus Smith form) against the exact product of the
+    order polynomial over the corresponding roots of unity -- two
+    independent pipelines.
 
     A vanishing product means the theorem's hypothesis fails (the
     polynomial has a zero at such a root-of-unity tuple); that is reported
@@ -342,7 +375,7 @@ def verify_torsion_cover_formula(P, primes, max_index=DEFAULT_MAX_INDEX):
     if delta.poly.arity != len(primes):
         raise ValueError("need one prime per variable of the polynomial")
     cm = free_abelian_cover(P, primes)
-    hom = cover_homology(reidemeister_schreier(cm, max_index))
+    hom = cover_homology(reidemeister_schreier(tietze_reduced(cm), max_index))
     lhs = hom.torsion_order
     signed = root_of_unity_norm(delta.poly, primes)
     inputs = {"primes": list(primes), "delta": str(delta),
@@ -356,13 +389,13 @@ def verify_torsion_cover_formula(P, primes, max_index=DEFAULT_MAX_INDEX):
 
 
 def shalen_wagreich_check(P, p, max_index=DEFAULT_MAX_INDEX):
-    """d_p of the canonical mod-p cover must be at least binom(r, 2) where
-    r = d_p of the base."""
+    """d_p of the canonical mod-p cover, from RS on the Tietze-reduced
+    base, must be at least binom(r, 2) where r = d_p of the base."""
     r = mod_p_betti(P, p)
     if r < 1:
         raise ValueError("d_p is 0; no mod-%d cover to test" % p)
     cm = mod_p_cover(P, p)
-    cp = reidemeister_schreier(cm, max_index)
+    cp = reidemeister_schreier(tietze_reduced(cm), max_index)
     d_cover = mod_p_betti(cp.presentation, p)
     bound = comb(r, 2)
     ab = abelianize(P)

@@ -276,6 +276,80 @@ def parse_presentation(text):
 
 
 # ----------------------------------------------------------------------
+# Tietze eliminations.
+# ----------------------------------------------------------------------
+
+def cyclic_reduce(word):
+    """Cancel first against last letters of a freely reduced word."""
+    i, j = 0, len(word) - 1
+    while i < j and word[i][0] == word[j][0] and word[i][1] != word[j][1]:
+        i, j = i + 1, j - 1
+    return word[i:j + 1]
+
+
+def _once(word):
+    """The lowest generator occurring exactly once in a word, or None."""
+    seen, twice = set(), set()
+    for g, _ in word:
+        (twice if g in seen else seen).add(g)
+    return min(seen - twice, default=None)
+
+
+def tietze_reduce(P):
+    """Eliminate generators by Tietze moves; returns the reduced
+    presentation and the indices of the generators it keeps, ascending.
+
+    The relators are cyclically reduced.  A move takes the shortest
+    relator (lowest index on ties) in which some generator occurs exactly
+    once, and the lowest such generator g: rotated to g^s w, the relator
+    gives g = w^-s, which replaces g in every other relator.  Those are
+    freely and cyclically reduced, empty ones are dropped, and g goes with
+    its relator.  Moves stop when no relator qualifies, or before one that
+    would take the total relator length above 3/2 of the reduced input's
+    (GAP's default ``expandLimit``, a guard against blow-up).  Each move
+    keeps the group, and the kept generators stand for the same elements
+    (Havas, Kenne, Richardson and Robertson, "A Tietze transformation
+    program", 1984).  With no move, P itself comes back.
+    """
+    rels = [w for w in map(cyclic_reduce, P.relators) if w]
+    start = sum(map(len, rels))
+    gone = set()
+    while True:
+        move = min(((len(w), i, g) for i, w in enumerate(rels)
+                    if (g := _once(w)) is not None), default=None)
+        if move is None:
+            break
+        _, i, g = move
+        rel = rels[i]
+        k = next(k for k, (h, _) in enumerate(rel) if h == g)
+        rest = rel[k + 1:] + rel[:k]
+        image = inverse_word(rest) if rel[k][1] > 0 else rest
+        images = {1: image, -1: inverse_word(image)}
+        new = []
+        for j, w in enumerate(rels):
+            if j == i:
+                continue
+            if any(h == g for h, _ in w):
+                w = cyclic_reduce(reduce_word(chain.from_iterable(
+                    images[s] if h == g else ((h, s),) for h, s in w)))
+            if w:
+                new.append(w)
+        if 2 * sum(map(len, new)) > 3 * start:
+            break
+        rels = new
+        gone.add(g)
+    if not gone:
+        return P, tuple(range(P.num_generators))
+    kept = tuple(g for g in range(P.num_generators) if g not in gone)
+    index = {g: i for i, g in enumerate(kept)}
+    # trusted parts: a subset of P's names, and reduced relators
+    return (Presentation._own(tuple(P.generator_names[g] for g in kept),
+                              tuple(tuple((index[g], s) for g, s in w)
+                                    for w in rels)),
+            kept)
+
+
+# ----------------------------------------------------------------------
 # Smith normal form over Z.
 # ----------------------------------------------------------------------
 

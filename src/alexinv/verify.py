@@ -17,7 +17,8 @@ from .alexander import (AlexanderMatrix, characterize_b1_one, full_report,
 from .covers import (DEFAULT_MAX_INDEX, VerifyReport, b1_ge_4_consistency,
                      cover_homology, free_abelian_cover,
                      hironaka_predicted_betti, reidemeister_schreier,
-                     shalen_wagreich_check, verify_torsion_cover_formula)
+                     shalen_wagreich_check, tietze_reduced,
+                     verify_torsion_cover_formula)
 from .laurent import LaurentPoly, Symmetry, involution, normalize, trace
 from .presentation import abelianize
 
@@ -235,15 +236,17 @@ def _cover_prime_tuples(rank, max_index, primes=(2, 3, 5)):
 
 def run_hironaka(names=None, primes=None, max_index=DEFAULT_MAX_INDEX):
     """The character-rank prediction of the cover's first Betti number must
-    match the rank computed from the Reidemeister-Schreier presentation,
-    for every corpus cover within the index limit, or the requested one."""
+    match the rank computed from the Reidemeister-Schreier presentation
+    over the Tietze-reduced base, for every corpus cover within the index
+    limit, or the requested one."""
     reports = []
     for entry in _selected(names):
         rank = abelianize(entry.presentation).rank
         for tup in _prime_tuples(entry, rank, names, primes,
                                  _cover_prime_tuples(rank, max_index)):
             cm = free_abelian_cover(entry.presentation, tup)
-            actual = cover_homology(reidemeister_schreier(cm, max_index)).rank
+            actual = cover_homology(reidemeister_schreier(
+                tietze_reduced(cm), max_index)).rank
             predicted = hironaka_predicted_betti(entry.presentation, cm)
             reports.append(VerifyReport(
                 "hironaka",

@@ -16,7 +16,7 @@ ring itself, before abelianization.  The dense Fox matrix, every zero
 entry included, feeds the minors of the whole matrix.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, product, zip_longest
@@ -27,7 +27,6 @@ import pytest
 
 import alexinv.laurent
 from alexinv.alexander import AlexanderMatrix
-from alexinv.covers import CoverPresentation
 from alexinv.cyclotomic import cyclotomic_polynomial
 from alexinv.laurent import LaurentPoly, MonomialUnit
 from alexinv.presentation import (Presentation, abelianize, fox_matrix,
@@ -470,11 +469,15 @@ def fox_derivative(word, gen):
     return FreeGroupRingElement(terms)
 
 
+OracleCover = namedtuple("OracleCover", "presentation transversal")
+
+
 def tuple_step_rs(cm):
     """Kernel presentation of a cover map with cosets as deck-group
-    tuples: a breadth-first transversal in a dict, tree edges as a set of
-    (coset, generator) pairs, and a fresh tuple for every letter of every
-    relator at every coset."""
+    tuples: a breadth-first transversal of whole words in a dict, tree
+    edges as a set of (coset, generator) pairs, and a fresh tuple for every
+    letter of every relator at every coset.  Returns the presentation and
+    the transversal words, in coset order."""
     base = cm.base
     n = base.num_generators
     primes = cm.deck.primes
@@ -530,8 +533,7 @@ def tuple_step_rs(cm):
                      for coset in coset_order
                      for rel in base.relators)
     cover = Presentation(tuple(gen_names), relators)
-    return CoverPresentation(cover, tuple(transversal[c] for c in coset_order),
-                             cm)
+    return OracleCover(cover, tuple(transversal[c] for c in coset_order))
 
 
 @contextmanager

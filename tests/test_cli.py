@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from alexinv.cli import main
+from alexinv.cli import _emit, main
 from alexinv.corpus import names
 from alexinv.laurent import MAX_ARITY
 
@@ -374,3 +374,16 @@ def test_closed_stdout_exits_1_without_traceback(argv):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""  # no traceback, no "Exception ignored"
+
+
+def test_emits_integers_past_the_str_digit_cap(capsys):
+    """A torsion order of 5,000 digits prints whole, past Python's default
+    cap of 4,300 digits on int-to-str conversion, and the cap is restored
+    after the output."""
+    import sys
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = cap()
+    _emit({"lhs": 10 ** 4999 + 1})
+    out = capsys.readouterr().out
+    assert json.loads(out, parse_int=str) == {"lhs": "1" + "0" * 4998 + "1"}
+    assert cap() == before

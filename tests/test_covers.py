@@ -17,7 +17,7 @@ from alexinv.covers import (Character, CoverIndexError, CoverMap, DeckGroup,
                             free_abelian_cover, hironaka_predicted_betti,
                             is_prime, mod_p_betti, mod_p_cover,
                             reidemeister_schreier, shalen_wagreich_check,
-                            verify_torsion_cover_formula)
+                            tietze_reduced, verify_torsion_cover_formula)
 from alexinv.cyclotomic import (CyclotomicField, bareiss_rank,
                                 cyclotomic_norm, cyclotomic_polynomial,
                                 galois_orbits)
@@ -681,6 +681,104 @@ class TestRSTrustedPresentation:
             seen.update(self.assert_checked(
                 random_cover_map(rng, names)).generator_names)
         assert {"x_1_0", "x_10", "x1_0", "x_1_0_0"} <= seen
+
+
+def expanded_cover_map(rng):
+    """A random_cover_map with one or two generators y_k = w_k added by
+    Tietze moves: the relator y_k * w_k^-1 is appended, and a conjugate of
+    it multiplied into an old relator, so the group, its map and its
+    covers stay the same while generators now occur once in relators."""
+    def word(n):
+        return tuple((rng.randrange(n), rng.choice((1, -1)))
+                     for _ in range(rng.randint(1, 4)))
+
+    cm = random_cover_map(rng)
+    names = list(cm.base.generator_names)
+    rels = list(cm.base.relators)
+    assignment = list(cm.assignment)
+    primes = cm.deck.primes
+    for k in range(rng.randint(1, 2)):
+        n = len(names)
+        w, c = word(n), word(n)
+        names.append("y%d" % k)
+        assignment.append(tuple(sum(s * assignment[g][i] for g, s in w) % p
+                                for i, p in enumerate(primes)))
+        d = ((n, 1),) + inverse_word(w)
+        i = rng.randrange(len(rels))
+        rels[i] += c + d + inverse_word(c)
+        rels.append(d)
+    return CoverMap(Presentation(tuple(names), rels), cm.deck, assignment)
+
+
+class TestTietzeReducedCovers:
+    """The cover of a Tietze-reduced base is the same cover: its H_1 and
+    its mod-p Betti numbers match those of the original cover map."""
+
+    @staticmethod
+    def assert_same_cover(cm):
+        red = tietze_reduced(cm)
+        # the reduction's own guarantees: same group, bounded length, and
+        # the kept generators keep their images
+        a, b = abelianize(cm.base), abelianize(red.base)
+        assert (a.rank, a.torsion) == (b.rank, b.torsion)
+        assert 2 * sum(map(len, red.base.relators)) \
+            <= 3 * sum(map(len, cm.base.relators))
+        images = dict(zip(cm.base.generator_names, cm.assignment))
+        assert red.deck == cm.deck
+        assert red.assignment == tuple(images[name] for name
+                                       in red.base.generator_names)
+        old = reidemeister_schreier(cm, max_index=625)
+        new = reidemeister_schreier(red, max_index=625)
+        h_old, h_new = cover_homology(old), cover_homology(new)
+        assert (h_new.rank, h_new.torsion) == (h_old.rank, h_old.torsion)
+        for p in set(cm.deck.primes) | {2, 3}:
+            assert mod_p_betti(new.presentation, p) \
+                == mod_p_betti(old.presentation, p)
+        return red is not cm
+
+    def test_corpus_covers(self):
+        count = reduced = 0
+        for entry in entries():
+            P = entry.presentation
+            rank = abelianize(P).rank
+            maps = [free_abelian_cover(P, tup)
+                    for tup in _cover_prime_tuples(rank, 256)]
+            maps += [mod_p_cover(P, p) for p in (2, 3)
+                     if mod_p_betti(P, p) and p ** mod_p_betti(P, p) <= 625]
+            for cm in maps:
+                reduced += self.assert_same_cover(cm)
+                count += 1
+        assert count >= 60 and reduced >= 18
+
+    def test_random_cover_maps(self):
+        rng = random.Random(22)
+        reduced = 0
+        for _ in range(60):
+            reduced += self.assert_same_cover(expanded_cover_map(rng))
+        assert reduced >= 55
+
+    def test_nothing_to_eliminate(self):
+        for P in (T3, FREE1):
+            cm = free_abelian_cover(P, (2,) * abelianize(P).rank)
+            assert tietze_reduced(cm) is cm
+
+    def test_torsion_formula_cover_size(self, monkeypatch):
+        """A count, no timing: at p = 127 the mapping-torus-A cover that
+        the torsion check passes to cover_homology has 128 generators and
+        254 relators, where RS on the unreduced base gives 255 and 381."""
+        sizes = []
+        real = alexinv.covers.cover_homology
+
+        def recording(cp):
+            sizes.append((cp.presentation.num_generators,
+                          cp.presentation.num_relators))
+            return real(cp)
+
+        monkeypatch.setattr(alexinv.covers, "cover_homology", recording)
+        P = get("mapping-torus-A").presentation
+        report = verify_torsion_cover_formula(P, (127,))
+        assert report.status == "equal"
+        assert sizes == [(128, 254)]
 
 
 class TestCoverHomology:

@@ -481,6 +481,75 @@ class TestFoxMatrix:
         assert sum(map(len, rows)) == 762
 
 
+class TestTietzeReduce:
+    """Tietze eliminations by the fixed rule: shortest relator holding a
+    generator once, lowest such generator, no move past 3/2 the length."""
+
+    @staticmethod
+    def length(P):
+        return sum(map(len, P.relators))
+
+    def test_corpus(self):
+        reduced = {
+            "heisenberg": ("<x, y | x*y*X*Y*X*y*x*Y, y*x*y*X*Y*x*Y*X>",
+                           (0, 1)),
+            "mapping-torus-A": ("<x1, h | h*x1*H*X1*h*X1*H*x1, "
+                                "h*X1*X1*X1*h*x1*H*X1*H*x1>", (0, 2)),
+            "mapping-torus-fib": ("<x2, h | h*x2*H*x2*h*X2*H*X2, "
+                                  "h*x2*H*X2*X2*H*x2*h*X2>", (1, 2))}
+        lengths = {"heisenberg": (13, 16), "mapping-torus-A": (17, 18),
+                   "mapping-torus-fib": (15, 17)}
+        for entry in corpus.entries():
+            P = entry.presentation
+            Q, kept = presentation.tietze_reduce(P)
+            if entry.name in reduced:
+                assert (str(Q), kept) == reduced[entry.name]
+                assert (self.length(P), self.length(Q)) == \
+                    lengths[entry.name]
+            else:  # t3 and the free groups: no generator occurs once
+                assert Q is P and kept == tuple(range(P.num_generators))
+
+    @pytest.mark.parametrize("text, want, kept", [
+        # y = 1 empties [x, y], which is dropped
+        ("<x, y | y, [x,y]>", "<x | >", (0,)),
+        # the shorter relator c*a*B*a holds b and c once: b = a*c*a goes
+        ("<a, b, c | a*b*c*a*b, c*a*B*a>", "<a, c | a*a*c*a*c*a*a*c*a>",
+         (0, 2)),
+        # X*y*x*x reduces cyclically to y*x, which holds x once
+        ("<x, y | X*y*x*x>", "<y | >", (1,)),
+    ])
+    def test_rule(self, text, want, kept):
+        Q, got = presentation.tietze_reduce(parse_presentation(text))
+        assert (str(Q), got) == (want, kept)
+
+    def test_expand_limit(self):
+        # y = x^5 would turn y^4*x^3 into x^23: 23 letters against 3/2 of
+        # the input's 13
+        P = parse_presentation("<x, y | y*X^5, y^4*x^3>")
+        assert presentation.tietze_reduce(P) == (P, (0, 1))
+
+    def test_random_presentations(self):
+        rng = random.Random(20)
+        moved = 0
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            P = Presentation(tuple("g%d" % i for i in range(n)),
+                             [random_word(rng, n, 9)
+                              for _ in range(rng.randint(0, 4))])
+            Q, kept = presentation.tietze_reduce(P)
+            moved += Q is not P
+            a, b = abelianize(P), abelianize(Q)
+            assert (a.rank, a.torsion) == (b.rank, b.torsion)
+            assert Q.generator_names == tuple(P.generator_names[g]
+                                              for g in kept)
+            start = sum(len(presentation.cyclic_reduce(r))
+                        for r in P.relators)
+            assert 2 * self.length(Q) <= 3 * start
+            assert all(presentation.cyclic_reduce(r) == r
+                       for r in Q.relators) or Q is P
+        assert moved >= 150
+
+
 @st.composite
 def presentations(draw):
     names = draw(st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,3}", fullmatch=True),
