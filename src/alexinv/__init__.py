@@ -23,9 +23,8 @@ from .laurent import (LaurentPoly, MonomialUnit, ParseError, Symmetry,
                       SymmetryClass, classify_symmetry, divide_exact,
                       format_poly, gcd, involution, normalize, parse_poly,
                       root_of_unity_norm, trace)
-from .presentation import (AbelianizationData, Presentation,
-                           SmithDecomposition, abelianize, fox_matrix,
-                           parse_presentation, reduce_word, smith_invariants,
-                           smith_normal_form)
+from .presentation import (AbelianizationData, Presentation, abelianize,
+                           fox_matrix, parse_presentation, reduce_word,
+                           smith_invariants)
 
 __version__ = "0.1.0"

@@ -4,7 +4,7 @@ Each entry is a presentation of the fundamental group of a closed
 orientable 3-manifold together with the invariant values expected for it.
 Expected values carry a provenance tag: "classical" for values stated in
 the literature, "derived" for values computed here by an independent route
-(characteristic polynomial, Smith form) that does not touch Fox calculus.
+(characteristic polynomial, Smith invariants) that does not touch Fox calculus.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from .laurent import LaurentPoly, normalize
-from .presentation import Presentation, parse_presentation, smith_normal_form
+from .presentation import Presentation, parse_presentation, smith_invariants
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def mapping_torus(A, name=None):
     Generators x1..xn (the fiber) and h (the circle direction); relators
     make the fiber abelian and conjugation by h act as A (generator xi maps
     to the word of column i).  Expected invariants come from A - I (Smith
-    form) and det(A - t*I), both computed without Fox calculus.
+    invariants) and det(A - t*I), both computed without Fox calculus.
     """
     n = len(A)
     for row in A:
@@ -115,7 +115,7 @@ def mapping_torus(A, name=None):
     P = parse_presentation("<%s | %s>" % (", ".join(gens), ", ".join(parts)))
 
     AminusI = [[A[i][j] - (i == j) for j in range(n)] for i in range(n)]
-    factors = smith_normal_form(AminusI).invariant_factors
+    factors = smith_invariants(AminusI)
     b1 = 1 + n - len(factors)
     expected = {"b1": b1, "torsion": tuple(d for d in factors if d > 1)}
     provenance = {"b1": "derived", "torsion": "derived"}

@@ -18,7 +18,7 @@ from itertools import product
 from math import comb, prod
 
 from . import presentation as pres
-from .alexander import AlexanderMatrix, alexander_polynomial, unit_reduce
+from .alexander import AlexanderMatrix, _relative_first_minors, unit_reduce
 from .cyclotomic import (CyclotomicField, bareiss_rank, character_evaluation,
                          character_order, galois_orbits)
 from .laurent import is_prime, root_of_unity_norm
@@ -155,20 +155,22 @@ def mod_p_betti(P, p):
 
 
 def mod_p_cover(P, p):
-    """The canonical cover with deck group (F_p)^{d_p}: the composition of
-    abelianization with reduction mod p, in the Smith basis of H_1."""
+    """The canonical cover with deck group (F_p)^{d_p}: abelianization
+    reduced mod p, in the Smith basis that :func:`abelianize` fixes."""
     if not is_prime(p):
         raise ValueError("%r is not prime" % (p,))
-    n = P.num_generators
-    snf = pres.smith_normal_form(P.exponent_matrix())
-    diag = snf.diagonal
-    coords = [i for i in range(n)
-              if (i >= len(diag) or diag[i] % p == 0)]
-    if not coords:
+    assignment = _mod_p_assignment(abelianize(P), p)
+    return CoverMap(P, DeckGroup((p,) * len(assignment[0])), assignment)
+
+
+def _mod_p_assignment(ab, p):
+    """Generator images of the canonical mod-p cover: the d_p coordinates
+    of ``ab`` in each Z/d_i that p divides, then the free ones, mod p."""
+    keep = [k for k, d in enumerate(ab.torsion) if d % p == 0]
+    if not keep and not ab.rank:
         raise ValueError("d_%d is 0; no mod-%d cover" % (p, p))
-    assignment = tuple(tuple(snf.U[i][j] % p for i in coords)
-                       for j in range(n))
-    return CoverMap(P, DeckGroup((p,) * len(coords)), assignment)
+    return tuple(tuple(t[k] % p for k in keep) + tuple(x % p for x in img)
+                 for t, img in zip(ab.torsion_images, ab.gen_images))
 
 
 def _free_abelian_assignment(ab, primes):
@@ -275,8 +277,8 @@ def reidemeister_schreier(cm, max_index=DEFAULT_MAX_INDEX):
 def cover_homology(cp):
     """H_1 of the covering space, via the kernel presentation: rank and
     torsion from :func:`~alexinv.presentation.smith_invariants` of its
-    exponent sums, one sparse row per relator.  The cover's generator
-    images are not computed (``gen_images`` is empty)."""
+    exponent sums, one sparse row per relator.  No Smith basis is fixed:
+    ``gen_images`` and ``torsion_images`` are empty."""
     P = cp.presentation
     factors = smith_invariants(P.exponent_rows())
     return AbelianizationData(P.num_generators - len(factors),
@@ -371,10 +373,11 @@ def verify_torsion_cover_formula(P, primes, max_index=DEFAULT_MAX_INDEX):
     as ``hypothesis_violated`` rather than a mismatch.
     """
     primes = tuple(primes)
-    delta = alexander_polynomial(P)
+    ab = abelianize(P)
+    delta = _relative_first_minors(P, ab)
     if delta.poly.arity != len(primes):
         raise ValueError("need one prime per variable of the polynomial")
-    cm = free_abelian_cover(P, primes)
+    cm = CoverMap(P, DeckGroup(primes), _free_abelian_assignment(ab, primes))
     hom = cover_homology(reidemeister_schreier(tietze_reduced(cm), max_index))
     lhs = hom.torsion_order
     signed = root_of_unity_norm(delta.poly, primes)
@@ -394,11 +397,11 @@ def shalen_wagreich_check(P, p, max_index=DEFAULT_MAX_INDEX):
     r = mod_p_betti(P, p)
     if r < 1:
         raise ValueError("d_p is 0; no mod-%d cover to test" % p)
-    cm = mod_p_cover(P, p)
+    ab = abelianize(P)
+    cm = CoverMap(P, DeckGroup((p,) * r), _mod_p_assignment(ab, p))
     cp = reidemeister_schreier(tietze_reduced(cm), max_index)
     d_cover = mod_p_betti(cp.presentation, p)
     bound = comb(r, 2)
-    ab = abelianize(P)
     inputs = {"p": p, "r": r, "cover_index": cm.deck.order,
               # when p divides |Tor H_1|, d_p exceeds b_1 and the Betti
               # bound chain of the rank-4 argument does not apply
@@ -410,14 +413,11 @@ def shalen_wagreich_check(P, p, max_index=DEFAULT_MAX_INDEX):
 
 def b1_ge_4_consistency(P):
     """No-counterexample check: a presentation with b_1 >= 4 must not have
-    order polynomial 1; also records the combinatorial fact r < binom(r, 2)
-    for the computed rank."""
+    order polynomial 1."""
     ab = abelianize(P)
     if ab.rank < 4:
         raise ValueError("b1 = %d < 4" % ab.rank)
-    delta = alexander_polynomial(P)
-    inputs = {"b1": ab.rank, "delta": str(delta),
-              "rank_below_binom": ab.rank < comb(ab.rank, 2)}
-    ok = not delta.poly.is_one() and inputs["rank_below_binom"]
-    return VerifyReport("b1-ge-4", inputs, str(delta), "1",
-                        "consistent" if ok else "counterexample")
+    delta = _relative_first_minors(P, ab)
+    return VerifyReport("b1-ge-4", {"b1": ab.rank, "delta": str(delta)},
+                        str(delta), "1", "counterexample"
+                        if delta.poly.is_one() else "consistent")

@@ -2,11 +2,11 @@
 
 A word is a tuple of (generator index, sign) letters, kept freely reduced.
 From a presentation this module computes the abelianization via an exact
-integer Smith normal form, the induced map onto the free part of H_1,
-and Fox derivatives of relators as sparse rows {generator: entry}, which
-feed the unit reduction of :mod:`alexinv.alexander`.  When only the
-invariant factors are needed, sparse elimination of unit pivots finds them
-without a transform.
+integer Smith normal form, with each generator's image in H_1 in the
+Smith basis, and Fox derivatives of relators as sparse rows {generator:
+entry}, which feed the unit reduction of :mod:`alexinv.alexander`.  When
+only the invariant factors are needed, sparse elimination of unit pivots
+finds them, with a transform only on the block the pivots leave.
 
 The text format is ``<x, y | x*y*X*Y, ...>``: lowercase names declare
 generators, an uppercase letter is the inverse of the corresponding
@@ -108,7 +108,7 @@ class Presentation:
 
     def exponent_rows(self):
         """One sparse row {generator: exponent sum} per relator (zero sums
-        may stay); the rows of the transpose of :meth:`exponent_matrix`."""
+        may stay): the image of the relator in Z^n under abelianization."""
         rows = []
         for rel in self.relators:
             row = {}
@@ -116,13 +116,6 @@ class Presentation:
                 row[g] = row.get(g, 0) + s
             rows.append(row)
         return rows
-
-    def exponent_matrix(self):
-        """num_generators x num_relators matrix of exponent sums; column j
-        is the image of relator j in Z^n under abelianization."""
-        rows = self.exponent_rows()
-        return [[row.get(g, 0) for row in rows]
-                for g in range(self.num_generators)]
 
 
 # ----------------------------------------------------------------------
@@ -593,21 +586,23 @@ def _eliminate_units(A, is_unit, inverse, modulus=None):
 def smith_invariants(A):
     """Nonzero invariant factors of an integer matrix (any shape, may be
     empty), in divisibility order: ``smith_normal_form(A).invariant_factors``
-    with no transform built.  A row is a sequence of integers or a dict
+    with no transform of A built.  A row is a sequence of integers or a dict
     {column: entry}, which may leave out zero entries.
 
     :func:`_eliminate_units` clears the entries +-1.  A unit pivot splits
     the matrix as 1 (+) A' under unimodular operations, so k pivots give k
     factors 1, and the dense Smith form of what remains gives the rest;
     invariant factors are unique, so the pivot order cannot change them
-    (Havas-Majewski, "Integer matrix diagonalization", 1997).
+    (Havas-Majewski, "Integer matrix diagonalization", 1997).  Transposing
+    keeps them too, so the dense form gets the side with fewer rows.
     """
     # a unit +-1 is its own inverse
     pivots, rest = _eliminate_units(A, {1, -1}.__contains__, int)
     live = sorted({c for row in rest for c in row})
-    tail = smith_normal_form([[row.get(c, 0) for c in live]
-                              for row in rest]).invariant_factors \
-        if rest else ()
+    block = [[row.get(c, 0) for c in live] for row in rest]
+    if len(rest) > len(live):
+        block = list(zip(*block))
+    tail = smith_normal_form(block).invariant_factors if rest else ()
     return (1,) * len(pivots) + tail
 
 
@@ -617,13 +612,15 @@ def smith_invariants(A):
 
 @dataclass(frozen=True)
 class AbelianizationData:
-    """H_1 of the presented group: free rank, invariant factors > 1, and the
-    image of each generator in Z^rank (torsion discarded).  The coordinates
-    come from the Smith basis, fixed once and recorded here."""
+    """H_1 = Z^rank (+) Z/d_1 (+) ...: free rank, invariant factors d_i > 1
+    in divisibility order, and each generator's image in Z^rank
+    (``gen_images``) and in each Z/d_i, mod d_i (``torsion_images``), in the
+    Smith basis :func:`abelianize` fixes; every cover of H_1 reads them."""
 
     rank: int
     torsion: tuple
     gen_images: tuple
+    torsion_images: tuple = ()
 
     @property
     def torsion_order(self):
@@ -631,14 +628,18 @@ class AbelianizationData:
 
 
 def abelianize(P):
-    """Abelianization from the Smith form of the exponent-sum matrix."""
+    """Abelianization from the Smith form D = U E V of the exponent sums E
+    (generators by relators): row i of U mod D[i][i] is a coordinate of H_1."""
     n = P.num_generators
-    snf = smith_normal_form(P.exponent_matrix())
-    diag = snf.diagonal
-    free_idx = [i for i in range(n) if i >= len(diag) or diag[i] == 0]
-    torsion = tuple(d for d in diag if d > 1)
-    gen_images = tuple(tuple(snf.U[i][j] for i in free_idx) for j in range(n))
-    return AbelianizationData(len(free_idx), torsion, gen_images)
+    rows = P.exponent_rows()
+    snf = smith_normal_form([[r.get(g, 0) for r in rows] for g in range(n)])
+    diag = snf.diagonal + (0,) * (n - len(snf.diagonal))
+    free = [i for i, d in enumerate(diag) if d == 0]
+    tors = [i for i, d in enumerate(diag) if d > 1]
+    return AbelianizationData(
+        len(free), tuple(diag[i] for i in tors),
+        tuple(tuple(snf.U[i][j] for i in free) for j in range(n)),
+        tuple(tuple(snf.U[i][j] % diag[i] for i in tors) for j in range(n)))
 
 
 def mod_p_rank(A, p):

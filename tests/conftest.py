@@ -13,7 +13,10 @@ inverses and norms in Q(zeta_m) from a Euclid over Q in Fractions,
 Reidemeister-Schreier rewriting by stepping a coset tuple per letter,
 Kronecker packing slot by slot, and Fox derivatives in the free group
 ring itself, before abelianization.  The dense Fox matrix, every zero
-entry included, feeds the minors of the whole matrix.
+entry included, feeds the minors of the whole matrix.  The canonical
+mod-p cover is read off the rows of the dense Smith transform U of the
+exponent matrix, which is counted letter by letter, with no
+abelianization.
 """
 
 from collections import Counter, namedtuple
@@ -27,10 +30,11 @@ import pytest
 
 import alexinv.laurent
 from alexinv.alexander import AlexanderMatrix
+from alexinv.covers import CoverMap, DeckGroup, is_prime
 from alexinv.cyclotomic import cyclotomic_polynomial
 from alexinv.laurent import LaurentPoly, MonomialUnit
 from alexinv.presentation import (Presentation, abelianize, fox_matrix,
-                                  reduce_word)
+                                  reduce_word, smith_normal_form)
 
 
 def int_det(A):
@@ -95,6 +99,46 @@ def smith_factors_oracle(A):
         out.append(dk // prev)
         prev = dk
     return tuple(out)
+
+
+def exponent_matrix(P):
+    """num_generators x num_relators matrix of exponent sums, counted
+    letter by letter: column j is the image of relator j in Z^n."""
+    return [[sum(s for h, s in rel if h == g) for rel in P.relators]
+            for g in range(P.num_generators)]
+
+
+def dense_mod_p_cover(P, p):
+    """The canonical mod-p cover straight from the dense Smith form
+    D = U * E * V of the exponent matrix E: its coordinates are the rows
+    of U whose diagonal entry p divides (zero included, as is every row
+    past the diagonal), in row order, each mod p."""
+    if not is_prime(p):
+        raise ValueError("%r is not prime" % (p,))
+    n = P.num_generators
+    snf = smith_normal_form(exponent_matrix(P))
+    diag = snf.diagonal
+    coords = [i for i in range(n)
+              if (i >= len(diag) or diag[i] % p == 0)]
+    if not coords:
+        raise ValueError("d_%d is 0; no mod-%d cover" % (p, p))
+    assignment = tuple(tuple(snf.U[i][j] % p for i in coords)
+                       for j in range(n))
+    return CoverMap(P, DeckGroup((p,) * len(coords)), assignment)
+
+
+def random_power_presentation(rng):
+    """A presentation on 0-4 generators whose 0-4 relators are products of
+    one to three powers x^{+-1..6}, so H_1 often has torsion."""
+    n = rng.randint(0, 4)
+    rels = []
+    for _ in range(rng.randint(0, 4) if n else 0):
+        word = []
+        for _ in range(rng.randint(1, 3)):
+            word += [(rng.randrange(n), rng.choice((1, -1)))] \
+                * rng.randint(1, 6)
+        rels.append(tuple(word))
+    return Presentation(tuple("x%d" % i for i in range(n)), tuple(rels))
 
 
 def dense_mod_p_rank(A, p):

