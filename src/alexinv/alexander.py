@@ -29,8 +29,8 @@ from itertools import combinations
 from math import comb, gcd, prod
 
 from . import presentation as pres
-from .laurent import (LaurentPoly, Symmetry, classify_symmetry, divide_exact,
-                      gcd_list, involution, normalize, trace)
+from .laurent import (LaurentPoly, Symmetry, _dict_quotient, classify_symmetry,
+                      divide_exact, gcd_list, involution, normalize, trace)
 
 
 @dataclass(frozen=True)
@@ -157,14 +157,11 @@ def elementary_minors(A, size):
 
 @dataclass(frozen=True)
 class AlexanderPolynomial:
-    """A normalized order polynomial together with the convention that
-    produced it."""
+    """An order polynomial, normalized by its maker (:func:`_order`),
+    together with the convention that produced it."""
 
     poly: LaurentPoly
     convention: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "poly", normalize(self.poly))
 
     def __str__(self):
         return str(self.poly)
@@ -215,7 +212,9 @@ def _order(rows, ncols, arity, images=None):
     Given the images, only the minors deleting the column k of B with
     a_k != 0 and the most terms are taken, and their GCD is divided by
     v_k / g (see the module docstring; with one live column, Delta is 1).
-    B becomes an :class:`AlexanderMatrix` once, without column k."""
+    B becomes an :class:`AlexanderMatrix` once, without column k.  The GCD
+    is divided by q normalized; both quotient and divisor come normalized,
+    since minimum exponents add and lex-leading terms multiply."""
     B, live = unit_reduce(rows, ncols, arity)
     fox = images is not None
     if fox:
@@ -233,9 +232,11 @@ def _order(rows, ncols, arity, images=None):
             i = next(i for i, x in enumerate(w) if x)
             q = {tuple(e * x for x in w): 1 for e in range(abs(a[i] // w[i]))}
         if len(q) > 1:
-            delta = divide_exact(delta, LaurentPoly._own(arity, q))
-            if delta is None:
+            quot = _dict_quotient(delta.terms,
+                                  normalize(LaurentPoly._own(arity, q)).terms)
+            if quot is None:
                 raise ArithmeticError("v_k / g does not divide the GCD")
+            delta = LaurentPoly._own(arity, quot)
     return AlexanderPolynomial(delta, "RelativeFirstMinors" if fox
                                else "OrderZeroDirect")
 
@@ -354,9 +355,7 @@ def characterize_b1_one(lam):
 def check_blanchfield(delta):
     """True iff the polynomial is at least mod unit symmetric, the symmetry
     every order polynomial of a closed orientable 3-manifold satisfies."""
-    if delta.poly.is_zero():
-        raise ValueError("zero polynomial has no symmetry class")
-    cls = classify_symmetry(delta.poly)
+    cls = classify_symmetry(delta.poly)  # a ValueError on the zero polynomial
     return cls.kind.at_least(Symmetry.MOD_UNIT_SYMMETRIC)
 
 

@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from operator import add, mul
+from operator import add, eq, mul, neg
 from types import MappingProxyType
 
 from .cyclotomic import character_evaluation, cyclotomic_norm, galois_orbits
@@ -349,28 +349,29 @@ class SymmetryClass:
 def classify_symmetry(f):
     """Classify a nonzero polynomial as (unit/mod unit) symmetric or not.
 
-    If iota(f) == +-t^J * f at all, comparing the extremes of the support
+    If iota(f) == s * t^J * f at all, comparing the extremes of the support
     forces J_i = -(min_i + max_i), so only that single candidate shift is
-    tested.  Unit symmetry additionally needs the sign to be + and every J_i
-    to be even (then u = t^(J/2) symmetrizes f).
+    tested, in place: it holds exactly when f[-J - e] == s * f[e] for each
+    e in the support, read per sign s = +-1 up to the first mismatch.  Unit
+    symmetry also needs s = + and every J_i even (then t^(J/2) symmetrizes f).
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no symmetry class")
-    iot = involution(f)
-    if iot == f:
-        return SymmetryClass(Symmetry.SYMMETRIC,
-                             MonomialUnit(1, (0,) * f.arity))
-    lo, hi = f.exponent_range()
-    cand = tuple(-(l + h) for l, h in zip(lo, hi))
-    shifted = f.shift(cand)
-    if iot == shifted:
-        if all(j % 2 == 0 for j in cand):
-            half = tuple(j // 2 for j in cand)
-            return SymmetryClass(Symmetry.UNIT_SYMMETRIC, MonomialUnit(1, half))
-        return SymmetryClass(Symmetry.MOD_UNIT_SYMMETRIC, MonomialUnit(1, cand))
-    if iot == -shifted:
-        return SymmetryClass(Symmetry.MOD_UNIT_SYMMETRIC, MonomialUnit(-1, cand))
-    return SymmetryClass(Symmetry.ASYMMETRIC, None)
+    cols = tuple(zip(*f.terms))  # read once, for the range and the mirror
+    mid = tuple(map(add, map(min, cols), map(max, cols)))
+    cand, get, coeffs = tuple(-x for x in mid), f.terms.get, f.terms.values()
+    for sign, want in (1, coeffs), (-1, map(neg, coeffs)):
+        mirror = zip(*[map(m.__sub__, col) for m, col in zip(mid, cols)])
+        if all(map(eq, map(get, mirror), want)):  # f[-J - e] == s * f[e]
+            break
+    else:
+        return SymmetryClass(Symmetry.ASYMMETRIC, None)
+    if sign > 0 and not any(cand):
+        return SymmetryClass(Symmetry.SYMMETRIC, MonomialUnit(1, cand))
+    if sign > 0 and not any(j % 2 for j in cand):
+        half = tuple(j // 2 for j in cand)
+        return SymmetryClass(Symmetry.UNIT_SYMMETRIC, MonomialUnit(1, half))
+    return SymmetryClass(Symmetry.MOD_UNIT_SYMMETRIC, MonomialUnit(sign, cand))
 
 
 # ----------------------------------------------------------------------

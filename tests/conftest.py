@@ -11,7 +11,8 @@ one-variable polynomials from a palindrome test on dense coefficient
 lists, root-of-unity norms from a product in the group ring,
 inverses and norms in Q(zeta_m) from a Euclid over Q in Fractions,
 Reidemeister-Schreier rewriting by stepping a coset tuple per letter,
-Kronecker packing slot by slot, and Fox derivatives in the free group
+Kronecker packing slot by slot, symmetry classes from the involution and
+one shifted copy of the polynomial, and Fox derivatives in the free group
 ring itself, before abelianization.  The dense Fox matrix, every zero
 entry included, feeds the minors of the whole matrix.  The canonical
 mod-p cover is read off the rows of the dense Smith transform U of the
@@ -32,7 +33,8 @@ import alexinv.laurent
 from alexinv.alexander import AlexanderMatrix
 from alexinv.covers import CoverMap, DeckGroup, is_prime
 from alexinv.cyclotomic import cyclotomic_polynomial
-from alexinv.laurent import LaurentPoly, MonomialUnit
+from alexinv.laurent import (LaurentPoly, MonomialUnit, Symmetry,
+                             SymmetryClass, involution)
 from alexinv.presentation import (Presentation, abelianize, fox_matrix,
                                   reduce_word, smith_normal_form)
 
@@ -195,6 +197,28 @@ def palindrome_unit_symmetric(f):
 def palindrome_mod_unit_symmetric(f):
     c = dense_coeffs(f)
     return c == c[::-1] or c == [-x for x in c[::-1]]
+
+
+def classify_symmetry_oracle(f):
+    """The symmetry class with its witness, from iota(f) and one shifted
+    copy t^J * f of f, compared as whole polynomials."""
+    if f.is_zero():
+        raise ValueError("the zero polynomial has no symmetry class")
+    iot = involution(f)
+    if iot == f:
+        return SymmetryClass(Symmetry.SYMMETRIC,
+                             MonomialUnit(1, (0,) * f.arity))
+    lo, hi = f.exponent_range()
+    cand = tuple(-(l + h) for l, h in zip(lo, hi))
+    shifted = f.shift(cand)
+    if iot == shifted:
+        if all(j % 2 == 0 for j in cand):
+            half = tuple(j // 2 for j in cand)
+            return SymmetryClass(Symmetry.UNIT_SYMMETRIC, MonomialUnit(1, half))
+        return SymmetryClass(Symmetry.MOD_UNIT_SYMMETRIC, MonomialUnit(1, cand))
+    if iot == -shifted:
+        return SymmetryClass(Symmetry.MOD_UNIT_SYMMETRIC, MonomialUnit(-1, cand))
+    return SymmetryClass(Symmetry.ASYMMETRIC, None)
 
 
 def cofactor_det(rows, arity):

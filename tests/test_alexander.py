@@ -617,6 +617,9 @@ class TestBlanchfieldAndTorsion:
             AlexanderPolynomial(t ** 2 - 4 * t + 1, "OrderZeroDirect"))
         assert not check_blanchfield(
             AlexanderPolynomial(t ** 2 - t + 2, "OrderZeroDirect"))
+        with pytest.raises(ValueError, match="zero polynomial has no symmetry"):
+            check_blanchfield(
+                AlexanderPolynomial(LaurentPoly.zero(1), "OrderZeroDirect"))
 
     def test_torsion_order(self):
         from alexinv.alexander import AlexanderPolynomial
@@ -667,6 +670,30 @@ class TestFullReport:
         report = full_report(parse_presentation("<x, y | x^1001*y^2>"))
         assert len(report.delta.poly.terms) == 1001
         assert sum(validated) <= 50
+
+    def test_delta_terms_built_once(self, monkeypatch):
+        # Delta's 1,001 terms come from the exact division already
+        # normalized, and its symmetry class is read in place: no nonzero
+        # shift and no involution copies a long polynomial
+        shift, involution = LaurentPoly.shift, alexinv.laurent.involution
+        copied = []
+
+        def spy_shift(self, exps):
+            if any(exps):
+                copied.append(("shift", len(self.terms)))
+            return shift(self, exps)
+
+        def spy_involution(f):
+            copied.append(("involution", len(f.terms)))
+            return involution(f)
+
+        monkeypatch.setattr(LaurentPoly, "shift", spy_shift)
+        monkeypatch.setattr(alexinv.laurent, "involution", spy_involution)
+        monkeypatch.setattr(alexinv.alexander, "involution", spy_involution)
+        report = full_report(parse_presentation("<x, y | x^1001*y^2>"))
+        assert len(report.delta.poly.terms) == 1001
+        assert report.symmetry.kind.value == "UnitSymmetric"
+        assert [c for c in copied if c[1] >= 100] == []
 
     def test_one_smith_form(self, monkeypatch):
         # the Fox matrix reuses the report's abelianization

@@ -14,8 +14,9 @@ from alexinv.laurent import (LaurentPoly, MonomialUnit, ParseError, Symmetry,
                              classify_symmetry, divide_exact, format_poly,
                              gcd, gcd_list, involution, normalize, parse_poly,
                              root_of_unity_norm, trace)
-from conftest import (assert_well_formed, group_ring_norm, int_det,
-                      mat_pow, pack_per_term, prs_fallbacks, unit_quotient)
+from conftest import (assert_well_formed, classify_symmetry_oracle,
+                      group_ring_norm, int_det, mat_pow, pack_per_term,
+                      prs_fallbacks, unit_quotient)
 
 t = LaurentPoly.variable(0, 1)
 
@@ -234,6 +235,32 @@ class TestClassifySymmetry:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             classify_symmetry(LaurentPoly.zero(1))
+
+    def test_matches_oracle(self):
+        # f itself is mostly asymmetric; f + iota(f) is symmetric, and its
+        # shifts by t^(2k) and t are unit and mod unit symmetric; f - iota(f)
+        # shifted gives the sign -1 witness
+        rng = random.Random(22)
+        kinds, negative = Counter(), 0
+        for _ in range(600):
+            arity = rng.randint(1, 3)
+            f = random_poly(rng, arity, span=rng.randint(1, 4),
+                            terms=rng.randint(1, 8))
+            if f.is_zero():
+                continue
+            k = tuple(rng.randint(-3, 3) for _ in range(arity))
+            sym, anti = f + involution(f), f - involution(f)
+            for g in (f, sym, sym.shift(tuple(2 * x for x in k)),
+                      sym.shift((1,) * arity), anti.shift(k)):
+                if g.is_zero():
+                    continue
+                got, want = classify_symmetry(g), classify_symmetry_oracle(g)
+                assert got == want, g
+                kinds[got.kind] += 1
+                negative += got.witness is not None and got.witness.sign < 0
+        assert sum(kinds.values()) >= 2000
+        assert min(kinds[kind] for kind in Symmetry) >= 100, kinds
+        assert negative >= 50
 
 
 class TestGcd:
