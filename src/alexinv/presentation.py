@@ -457,28 +457,23 @@ def _eliminate_units(A, is_unit, inverse, modulus=None):
     {column: nonzero entry}.  A row of A is a sequence of ring entries or a
     dict {column: entry}; with a modulus, entries are integers mod a prime.
 
-    Each step takes the unit entry of least Markowitz cost (row nonzeros
-    - 1) * (column nonzeros - 1), ties broken by original row and then
-    column, clears its column with row operations through ``inverse`` and
-    drops its row and column, and any row that became zero.
+    Each step takes the shortest row that holds a unit, the first in row
+    order on ties, and its unit in the column with the fewest rows, the
+    first column on ties; it clears that column with row operations
+    through ``inverse`` and drops the pivot row and column, and any row
+    that became zero.
 
-    Within a row, (cost, column) orders the units as (column count,
-    column) does.  ``cache[row]`` holds a pair that is at most the pair of
-    every unit of the row and whose column, until it is pivoted away,
-    holds a unit of the row: entries change only in updated rows, which
-    rescan if their cached unit was in the pivot row.  So the pair is
-    exact while ``len(cols[column])`` equals its count; a pop rescans the
-    row only when the column has grown since or was a pivot column.  A
-    step changes the counts of the pivot row's columns alone.  Each that
-    ended shorter offers its pair to the other rows with a unit in it,
-    which take it if it is less; each updated row takes the least of its
-    pair and its units in the pivot row.  The heap holds (key, row) items:
-    a row with a unit has one whose key, ``low[row]``, is at most the cost
-    of its pair, so at most its least cost, and is pushed again only when
-    that cost falls below it.  A popped row whose least cost is its key
-    gives the pivot, the least (cost, row, column) as a rescan takes it,
-    since every other row has an item no less than (key, row) and no unit
-    cheaper than that item's key; one whose cost grew is pushed back.
+    The heap holds (length, row) items, and an item is current while its
+    length is the row's.  Every row with a unit has a current item: a row
+    is pushed again when a row operation changes its length, and when one
+    touches it after it was popped with no unit, since only row operations
+    change entries.  So the first current item popped whose row holds a
+    unit is the shortest such row.
+
+    Havas and Majewski ("Integer matrix diagonalization", 1997) pivot by
+    least Markowitz cost, (row nonzeros - 1) * (column nonzeros - 1).  On
+    the cover matrices served here every pivot costs at most 4, so keeping
+    that exact minimum buys no fill.
     """
     rows, cols = {}, {}  # cols: column -> indices of the rows holding it
     for i, row in enumerate(A):
@@ -491,52 +486,32 @@ def _eliminate_units(A, is_unit, inverse, modulus=None):
             for j in entries:
                 cols.setdefault(j, set()).add(i)
 
-    def best(i):  # least (count, column) of row i's units, or None
-        b = None
-        for j, x in rows[i].items():
-            if (b is None or (len(cols[j]), j) < b) and is_unit(x):
-                b = len(cols[j]), j
-        return b
-
-    def keep(i, b):  # cache row i's best unit and re-key it if it fell
-        if b is None:
-            cache.pop(i, None)
-            return
-        cache[i] = b
-        cost = (len(rows[i]) - 1) * (b[0] - 1)
-        if i not in low or cost < low[i]:
-            low[i] = cost
-            heappush(heap, (cost, i))
-
-    cache = {i: b for i in rows if (b := best(i))}
-    low = {i: (len(rows[i]) - 1) * (b[0] - 1) for i, b in cache.items()}
-    heap = [(key, i) for i, key in low.items()]
+    heap = [(len(row), i) for i, row in rows.items()]
     heapify(heap)
+    idle = set()  # rows popped with no unit and not touched since
     pivots = []
     while heap:
-        key, i = heappop(heap)
-        if i not in rows or low.get(i) != key:
-            continue  # gone, or superseded by a lower item
-        del low[i]
-        b = cache.get(i)
-        if b and len(cols.get(b[1], ())) != b[0]:  # grown, or pivoted away
-            b = best(i)
-        if b is None or (len(rows[i]) - 1) * (b[0] - 1) != key:
-            keep(i, b)  # its cost grew, or no unit is left
+        n, i = heappop(heap)
+        pivot = rows.get(i)
+        if pivot is None or len(pivot) != n:
+            continue  # gone, or its length changed since
+        b = None  # least (column rows, column) of the row's units
+        for c, x in pivot.items():
+            if (b is None or (len(cols[c]), c) < b) and is_unit(x):
+                b = len(cols[c]), c
+        if b is None:
+            idle.add(i)
             continue
         j = b[1]
-        pivot = rows.pop(i)
-        before = {}
+        del rows[i]
         for c in pivot:
-            before[c] = len(cols[c])
             cols[c].discard(i)
         inv = inverse(pivot.pop(j))
-        updated = {}  # updated row -> its pivot-row columns
         for r in cols.pop(j):
             # row_r -= (a * inv) * pivot clears (r, j)
             row = rows[r]
+            size = len(row)
             f = row.pop(j) * inv
-            kept = []
             for c, x in pivot.items():
                 old = row.get(c, 0)
                 y = old - f * x
@@ -546,39 +521,14 @@ def _eliminate_units(A, is_unit, inverse, modulus=None):
                     if not old:
                         cols[c].add(r)
                     row[c] = y
-                    kept.append(c)
                 else:
                     del row[c]
                     cols[c].discard(r)
-            if row:
-                updated[r] = kept
-            else:
+            if not row:
                 del rows[r]
-        for c in pivot:  # the columns that ended shorter
-            pair = len(cols[c]), c
-            if pair[0] < before[c]:
-                for r in cols[c]:
-                    if r not in updated and r in cache \
-                            and pair < cache[r] and is_unit(rows[r][c]):
-                        keep(r, pair)
-        # an updated row takes the least of its pair and its units in the
-        # pivot row and is kept as by keep, inlined since this runs once
-        # per row operation (the calls took 5% of the time)
-        for r, kept in updated.items():
-            b, row = cache.get(r), rows[r]
-            if b and b[1] in pivot:
-                b, kept = None, row  # its cached unit changed
-            for c in kept:
-                if (b is None or (len(cols[c]), c) < b) and is_unit(row[c]):
-                    b = len(cols[c]), c
-            if b is None:
-                cache.pop(r, None)
-                continue
-            cache[r] = b
-            cost = (len(row) - 1) * (b[0] - 1)
-            if r not in low or cost < low[r]:
-                low[r] = cost
-                heappush(heap, (cost, r))
+            elif len(row) != size or r in idle:
+                idle.discard(r)
+                heappush(heap, (len(row), r))
         pivots.append(j)
     return pivots, list(rows.values())
 
@@ -589,12 +539,13 @@ def smith_invariants(A):
     with no transform of A built.  A row is a sequence of integers or a dict
     {column: entry}, which may leave out zero entries.
 
-    :func:`_eliminate_units` clears the entries +-1.  A unit pivot splits
-    the matrix as 1 (+) A' under unimodular operations, so k pivots give k
-    factors 1, and the dense Smith form of what remains gives the rest;
-    invariant factors are unique, so the pivot order cannot change them
-    (Havas-Majewski, "Integer matrix diagonalization", 1997).  Transposing
-    keeps them too, so the dense form gets the side with fewer rows.
+    :func:`_eliminate_units` clears the entries +-1, shortest row first.  A
+    unit pivot splits the matrix as 1 (+) A' under unimodular operations,
+    so k pivots give k factors 1, and the dense Smith form of what remains
+    gives the rest; invariant factors are unique, so the pivot rule cannot
+    change them, only the size of what remains (Havas-Majewski, "Integer
+    matrix diagonalization", 1997).  Transposing keeps them too, so the
+    dense form gets the side with fewer rows.
     """
     # a unit +-1 is its own inverse
     pivots, rest = _eliminate_units(A, {1, -1}.__contains__, int)

@@ -14,11 +14,11 @@ from math import prod
 from . import corpus
 from .alexander import (AlexanderMatrix, characterize_b1_one, full_report,
                         levine_extend, order_zero_direct)
-from .covers import (DEFAULT_MAX_INDEX, VerifyReport, b1_ge_4_consistency,
-                     cover_homology, free_abelian_cover,
-                     hironaka_predicted_betti, reidemeister_schreier,
-                     shalen_wagreich_check, tietze_reduced,
-                     verify_torsion_cover_formula)
+from .covers import (DEFAULT_MAX_INDEX, CoverMap, DeckGroup, VerifyReport,
+                     _free_abelian_assignment, b1_ge_4_consistency,
+                     cover_homology, hironaka_predicted_betti,
+                     reidemeister_schreier, shalen_wagreich_check,
+                     tietze_reduced, verify_torsion_cover_formula)
 from .laurent import LaurentPoly, Symmetry, involution, normalize, trace
 from .presentation import abelianize
 
@@ -241,10 +241,11 @@ def run_hironaka(names=None, primes=None, max_index=DEFAULT_MAX_INDEX):
     limit, or the requested one."""
     reports = []
     for entry in _selected(names):
-        rank = abelianize(entry.presentation).rank
-        for tup in _prime_tuples(entry, rank, names, primes,
-                                 _cover_prime_tuples(rank, max_index)):
-            cm = free_abelian_cover(entry.presentation, tup)
+        ab = abelianize(entry.presentation)
+        for tup in _prime_tuples(entry, ab.rank, names, primes,
+                                 _cover_prime_tuples(ab.rank, max_index)):
+            cm = CoverMap(entry.presentation, DeckGroup(tup),
+                          _free_abelian_assignment(ab, tup))
             actual = cover_homology(reidemeister_schreier(
                 tietze_reduced(cm), max_index)).rank
             predicted = hironaka_predicted_betti(entry.presentation, cm)

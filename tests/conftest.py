@@ -246,9 +246,10 @@ def cofactor_det(rows, arity):
 def rescan_eliminate(rows, is_unit, inverse, modulus=None):
     """Unit elimination by a full rescan at every step, over any ring with
     these ``is_unit`` and ``inverse`` (integers mod ``modulus`` if given):
-    the unit of least Markowitz cost (row nonzeros - 1) * (column nonzeros
-    - 1), first in row order and then in column order, clears its column
-    with multiples of its row and loses its row; zero rows are dropped.
+    the shortest row holding a unit, first in row order, pivots at its unit
+    in the column with the fewest rows, first in column order; it clears
+    that column with multiples of its row and loses its row; zero rows are
+    dropped.
     Returns the pivot columns in order and the rows left, in their order,
     as dicts {column: nonzero entry}."""
     live = []
@@ -260,12 +261,12 @@ def rescan_eliminate(rows, is_unit, inverse, modulus=None):
     pivots = []
     while True:
         col_counts = Counter(j for row in live for j in row)
-        units = [((len(row) - 1) * (col_counts[j] - 1), i, j)
+        units = [(len(row), i, col_counts[j], j)
                  for i, row in enumerate(live)
                  for j, e in row.items() if is_unit(e)]
         if not units:
             return pivots, live
-        _, i, j = min(units)
+        _, i, _, j = min(units)
         pivot = live.pop(i)
         inv = inverse(pivot[j])
         for r, row in enumerate(live):

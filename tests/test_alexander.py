@@ -201,7 +201,7 @@ class TestUnitReduce:
     def test_same_pivots_as_full_rescan(self):
         """The heap takes the pivots a rescan at every step would take, so
         it leaves the same block, entry for entry; the matrices are dense
-        in units +-t^I, so costs tie often."""
+        in units +-t^I, so row lengths tie often."""
         rng = random.Random(43)
         several = 0
         for _ in range(300):

@@ -9,6 +9,7 @@ import pytest
 
 import alexinv.covers
 import alexinv.cyclotomic
+import alexinv.verify
 from alexinv import presentation
 from alexinv.alexander import AlexanderMatrix, unit_reduce
 from alexinv.corpus import entries, get, mapping_torus
@@ -24,7 +25,7 @@ from alexinv.cyclotomic import (CyclotomicField, bareiss_rank,
 from alexinv.laurent import LaurentPoly, parse_poly
 from alexinv.presentation import (Presentation, abelianize, fox_matrix,
                                   inverse_word, parse_presentation)
-from alexinv.verify import _cover_prime_tuples, random_matrix
+from alexinv.verify import _cover_prime_tuples, random_matrix, run_hironaka
 from conftest import (dense_fox_matrix, dense_mod_p_cover, fraction_euclid,
                       int_det, mat_pow, product_galois_orbits,
                       random_power_presentation, root_power, tuple_step_rs)
@@ -554,6 +555,24 @@ class TestOneAbelianization:
         check(P, *args[1:])
         assert calls == [P]
 
+    def test_hironaka_suite(self, monkeypatch):
+        """The default hironaka suite abelianizes each base once for its
+        covers, and ``hironaka_predicted_betti`` once per report: 8 + 54
+        calls, where a ``free_abelian_cover`` per report made 8 + 54 + 54."""
+        calls = Counter()
+
+        def counting(where):
+            def spy(P):
+                calls[where] += 1
+                return abelianize(P)
+            return spy
+        monkeypatch.setattr(alexinv.verify, "abelianize", counting("suite"))
+        monkeypatch.setattr(alexinv.covers, "abelianize", counting("covers"))
+        reports = run_hironaka()
+        assert all(r.ok for r in reports)
+        assert calls == {"suite": len(entries()), "covers": len(reports)}
+        assert (len(entries()), len(reports)) == (8, 54)
+
 
 class TestReidemeisterSchreier:
     def test_free_group_cyclic_cover(self):
@@ -875,7 +894,9 @@ class TestCoverHomology:
         """Heap pops of the unit kernel on the heisenberg (31, 31) cover, a
         count rather than a time: requeueing every entry of every column
         the pivot row touched took 128,413 pops here, one lower-bound item
-        per unit 32,830, and one item per row 3,725."""
+        per unit 32,830, one Markowitz item per row 3,725, and one
+        (length, row) item per row, pushed again when its length changes,
+        3,787."""
         pops = 0
         real = presentation.heappop
 
@@ -895,8 +916,9 @@ class TestCoverHomology:
         """is_unit calls of the unit kernel on the heisenberg (31, 31)
         cover, a count rather than a time: rescanning a row's units at
         every re-key and pop took 75,695 here, rescanning an updated row
-        whenever its cached best unit was in the pivot row 11,253, and
-        keeping the pivot column's pair as a bound 7,004."""
+        whenever its cached best unit was in the pivot row 11,253, keeping
+        the pivot column's pair as a bound 7,004, and scanning each popped
+        row once, shortest row first, 1,955."""
         calls = 0
 
         def counting_is_unit(x):
@@ -911,6 +933,42 @@ class TestCoverHomology:
         assert got == presentation._eliminate_units(rows, {1, -1}.__contains__,
                                                     int)
         assert 0 < calls < 10_000, calls
+
+    @staticmethod
+    def leftover(rows):
+        """(rows, columns, nonzeros) of the block the unit kernel leaves."""
+        _, rest = presentation._eliminate_units(rows, {1, -1}.__contains__,
+                                                int)
+        return (len(rest), len({c for row in rest for c in row}),
+                sum(map(len, rest)))
+
+    @pytest.mark.parametrize("P, primes, reduce, block", [
+        (get("mapping-torus-A").presentation, (127,), True, (2, 2, 4)),
+        (get("heisenberg").presentation, (31, 31), False, (1, 1, 1)),
+        # a non-fibred b1 = 1 group: mapping-torus-A with a generator u and
+        # one relator, Delta = (t^2 - 4t + 1)(2t^2 - 3t + 2)
+        (parse_presentation("<x1, x2, h, u | x1*x2*X1*X2, h*x1*H*X2*X1*X1*X1,"
+                            " h*x2*H*X2*X1*X1, H*u*u*h*U*U*U*h*u*u*H>"),
+         (127,), True, (129, 129, 385)),
+    ])
+    def test_fill_guard(self, P, primes, reduce, block):
+        """The block left for the dense Smith tail, counts rather than
+        times: the pivot rule decides the fill, and these are the blocks
+        the least-Markowitz-cost rule left too."""
+        cm = free_abelian_cover(P, primes)
+        cp = reidemeister_schreier(tietze_reduced(cm) if reduce else cm,
+                                   max_index=prod(primes))
+        assert self.leftover(cp.presentation.exponent_rows()) == block
+
+    def test_fox_fill_guard(self):
+        """The Laurent block that unit_reduce leaves on the Fox rows of the
+        index-127 cyclic cover of mapping-torus-A: 2 rows on 3 columns."""
+        cm = free_abelian_cover(get("mapping-torus-A").presentation, (127,))
+        Q = reidemeister_schreier(cm, max_index=127).presentation
+        ab = abelianize(Q)
+        B, live = unit_reduce(fox_matrix(Q, ab), Q.num_generators, ab.rank)
+        assert (len(B), len(live)) == (2, 3)
+        assert Q.num_generators - len(live) == 252
 
     def test_character_rank_work_guard(self, monkeypatch):
         """Cofactor subresultants and field products of the Hironaka

@@ -262,20 +262,19 @@ class TestEliminateUnits:
         for _ in range(400):
             yield self.random_rows(rng, (1, -1) + (2, -2, 3, -3) * 2,
                                    12), self.RINGS[0]
-        # Row 4's units are in columns 0 (4 rows) and 2 (3 rows), so its
-        # best (count, column) is (3, 2).  The first pivot, row 2 at column
-        # 4, fills column 2 into rows 0, 1 and 3: it grows to 5 rows.  The
-        # second, row 5 at column 3, takes row 5 out of it: it ends that
-        # step shorter, at 4 rows, but not below 3, and now (4, 0) is less
-        # than (4, 2), so the third pivot is row 4 at column 0.  A cache
-        # that took (4, 2) from the shrinking column would take column 2.
+        # Row 4's units are in columns 0 (4 rows) and 2 (3 rows).  The
+        # first pivot, row 2 at column 4, fills column 2 into rows 0, 1 and
+        # 3: it grows to 5 rows.  The second, row 5 at column 3, takes row
+        # 5 out of it, down to 4.  Row 4 pivots third, at column 0: the
+        # counts tie at 4 and the first column wins.  A row that kept the
+        # column count of its units from the start would take column 2.
         yield [[3, 0, 0, 1, -1],
                [3, 0, 0, 1, -1],
                [0, 0, -3, 0, 1],
                [-3, 0, 0, 1, 1],
                [1, 3, 1, 0, 0],
                [0, 0, 1, -1, -3]], self.RINGS[0]
-        # larger matrices, where a row's cached best unit is often stale
+        # larger matrices, where row lengths change at most steps
         rng = random.Random(16)
         for _ in range(600):
             rows = self.random_rows(rng, (1, -1, 2, -2, 3, -3), 16)
