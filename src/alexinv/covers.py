@@ -12,9 +12,9 @@ in exact cyclotomic arithmetic (:mod:`alexinv.cyclotomic`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import count, product
 from math import comb, prod
 
 from . import presentation as pres
@@ -126,16 +126,51 @@ class CoverMap:
 
 @dataclass(frozen=True)
 class CoverPresentation:
-    """Kernel presentation from Reidemeister-Schreier rewriting, plus the
-    spanning tree of the coset graph that produced it: ``tree[c]`` is the
+    """The kernel of :func:`reidemeister_schreier`, each piece built once,
+    when first read.  ``num_generators`` is Schreier's |G|(n - 1) + 1, and
+    ``exponent_rows()`` reads the coset tables, so neither builds a name or
+    a word, and a relator-free base builds no table.  ``tree[c]`` is the
     (parent coset, base generator) pair of the tree edge into coset c, and
-    None at the identity coset 0.  The transversal words are built from it
-    when first read; stored per coset, they would take memory quadratic in
-    the depth of the tree."""
+    None at coset 0; stored per coset, the transversal words would take
+    memory quadratic in the depth of the tree."""
 
-    presentation: Presentation
-    tree: tuple
-    cover_map: CoverMap = field(repr=False, default=None)
+    cover_map: CoverMap
+
+    @property
+    def num_generators(self):
+        cm = self.cover_map
+        return cm.deck.order * (cm.base.num_generators - 1) + 1
+
+    @cached_property
+    def _tables(self):  # act, back, schreier and the tree
+        cm = self.cover_map
+        order, n = cm.deck.order, cm.base.num_generators
+        shifts = []  # each generator as a permutation of mixed-radix elements
+        for img in cm.assignment:
+            perm = [0]
+            for p, v in zip(cm.deck.primes, img):
+                perm = [q * p + (d + v) % p for q in perm for d in range(p)]
+            shifts.append(perm)
+        act = [[0] * order for _ in range(n)]
+        back = [[0] * order for _ in range(n)]
+        schreier = [[None] * n for _ in range(order)]
+        k, tree = count(), [None]
+        elements = [0]  # the mixed-radix number of each coset
+        coset_of = [0] + [None] * (order - 1)
+        for c, x in enumerate(elements):
+            for g in range(n):
+                y = shifts[g][x]
+                if coset_of[y] is None:
+                    coset_of[y] = len(elements)
+                    elements.append(y)
+                    tree.append((c, g))
+                else:
+                    schreier[c][g] = next(k)
+                act[g][c] = coset_of[y]
+                back[g][coset_of[y]] = c
+        return act, back, schreier, tuple(tree)
+
+    tree = property(lambda self: self._tables[3])
 
     @cached_property
     def transversal(self):
@@ -145,10 +180,44 @@ class CoverPresentation:
             words.append(words[parent] + ((g, 1),))
         return tuple(words)
 
+    def _letters(self, word, c):
+        """The Schreier letters of a base word read from coset c."""
+        act, back, schreier, _ = self._tables
+        for g, s in word:
+            if s > 0:
+                k = schreier[c][g]
+                c = act[g][c]
+            else:
+                c = back[g][c]
+                k = schreier[c][g]
+            if k is not None:
+                yield k, s
+
+    @cached_property
+    def presentation(self):
+        cm, schreier = self.cover_map, self._tables[2]
+        return Presentation._own(
+            tuple("%s_%d" % (cm.base.generator_names[g], c) for c, row
+                  in enumerate(schreier) for g, k in enumerate(row)
+                  if k is not None),
+            tuple(tuple(self._letters(rel, c)) for c, rel
+                  in product(range(cm.deck.order), cm.base.relators)))
+
+    def exponent_rows(self):
+        """``presentation.exponent_rows()`` without zero sums or rows."""
+        cm, rows = self.cover_map, []
+        for c, rel in product(range(cm.deck.order), cm.base.relators):
+            row = {}
+            for k, s in self._letters(rel, c):
+                row[k] = row.get(k, 0) + s
+            if any(row.values()):
+                rows.append({k: e for k, e in row.items() if e})
+        return rows
+
 
 def mod_p_betti(P, p):
-    """First mod-p Betti number: generator count minus the F_p-rank of the
-    relator exponent sums, one sparse row per relator."""
+    """First mod-p Betti number of a presentation or CoverPresentation P:
+    its generator count minus the F_p-rank of its exponent-sum rows."""
     if not is_prime(p):
         raise ValueError("%r is not prime" % (p,))
     return P.num_generators - mod_p_rank(P.exponent_rows(), p)
@@ -203,7 +272,8 @@ def tietze_reduced(cm):
 
 
 def reidemeister_schreier(cm, max_index=DEFAULT_MAX_INDEX):
-    """Presentation of the kernel of a cover map, from a coset table.
+    """The kernel of a cover map, from a coset table, as a lazy
+    :class:`CoverPresentation`: this call only checks the index.
 
     Cosets are deck-group elements (the coset of a word is just its image),
     numbered breadth first from the identity, generators in index order;
@@ -213,9 +283,8 @@ def reidemeister_schreier(cm, max_index=DEFAULT_MAX_INDEX):
     deterministic, and |deck|*n - (|deck| - 1) generators and |deck|*m
     rewritten relators remain.  Each coset keeps only the (parent,
     generator) pair of its tree edge, so time and memory are linear in
-    |deck|*(n + the relators' length); the transversal words are built
-    only if :attr:`CoverPresentation.transversal` is read.  The base is
-    rewritten as given: the cover checks pass :func:`tietze_reduced` maps.
+    |deck|*(n + the relators' length).  The base is rewritten as given:
+    the cover checks pass :func:`tietze_reduced` maps.
 
     ``Presentation``'s checks hold by construction and are skipped: names
     ``<base>_<coset>`` are valid and unique, as base names are and the
@@ -223,65 +292,18 @@ def reidemeister_schreier(cm, max_index=DEFAULT_MAX_INDEX):
     would be one Schreier edge out and back around a closed walk in the
     tree, which backtracks unless empty, so the base relator would cancel.
     """
-    order = cm.deck.order
-    if order > max_index:
-        raise CoverIndexError(order, max_index)
-    base = cm.base
-    n = base.num_generators
-    shifts = []  # each generator as a permutation of mixed-radix elements
-    for img in cm.assignment:
-        perm = [0]
-        for p, v in zip(cm.deck.primes, img):
-            perm = [q * p + (d + v) % p for q in perm for d in range(p)]
-        shifts.append(perm)
-
-    act = [[0] * order for _ in range(n)]
-    back = [[0] * order for _ in range(n)]
-    schreier = [[None] * n for _ in range(order)]
-    gen_names = []
-    tree = [None]
-    elements = [0]  # the mixed-radix number of each coset
-    coset_of = [0] + [None] * (order - 1)
-    for c, x in enumerate(elements):
-        for g in range(n):
-            y = shifts[g][x]
-            if coset_of[y] is None:
-                coset_of[y] = len(elements)
-                elements.append(y)
-                tree.append((c, g))
-            else:
-                schreier[c][g] = len(gen_names)
-                gen_names.append("%s_%d" % (base.generator_names[g], c))
-            act[g][c] = coset_of[y]
-            back[g][coset_of[y]] = c
-
-    def rewrite(word, c):
-        out = []
-        for g, s in word:
-            if s > 0:
-                k = schreier[c][g]
-                c = act[g][c]
-            else:
-                c = back[g][c]
-                k = schreier[c][g]
-            if k is not None:
-                out.append((k, s))
-        return tuple(out)
-
-    relators = tuple(rewrite(rel, c)
-                     for c in range(order) for rel in base.relators)
-    return CoverPresentation(Presentation._own(tuple(gen_names), relators),
-                             tuple(tree), cm)
+    if cm.deck.order > max_index:
+        raise CoverIndexError(cm.deck.order, max_index)
+    return CoverPresentation(cm)
 
 
 def cover_homology(cp):
-    """H_1 of the covering space, via the kernel presentation: rank and
-    torsion from :func:`~alexinv.presentation.smith_invariants` of its
-    exponent sums, one sparse row per relator.  No Smith basis is fixed:
-    ``gen_images`` and ``torsion_images`` are empty."""
-    P = cp.presentation
-    factors = smith_invariants(P.exponent_rows())
-    return AbelianizationData(P.num_generators - len(factors),
+    """H_1 of the covering space: rank and torsion from
+    :func:`~alexinv.presentation.smith_invariants` of the exponent sums
+    ``cp.exponent_rows()``, with no cover word built.  No Smith basis is
+    fixed: ``gen_images`` and ``torsion_images`` are empty."""
+    factors = smith_invariants(cp.exponent_rows())
+    return AbelianizationData(cp.num_generators - len(factors),
                               tuple(d for d in factors if d > 1), ())
 
 
@@ -399,8 +421,8 @@ def shalen_wagreich_check(P, p, max_index=DEFAULT_MAX_INDEX):
         raise ValueError("d_p is 0; no mod-%d cover to test" % p)
     ab = abelianize(P)
     cm = CoverMap(P, DeckGroup((p,) * r), _mod_p_assignment(ab, p))
-    cp = reidemeister_schreier(tietze_reduced(cm), max_index)
-    d_cover = mod_p_betti(cp.presentation, p)
+    d_cover = mod_p_betti(reidemeister_schreier(tietze_reduced(cm),
+                                                max_index), p)
     bound = comb(r, 2)
     inputs = {"p": p, "r": r, "cover_index": cm.deck.order,
               # when p divides |Tor H_1|, d_p exceeds b_1 and the Betti

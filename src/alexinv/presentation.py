@@ -545,7 +545,8 @@ def smith_invariants(A):
     gives the rest; invariant factors are unique, so the pivot rule cannot
     change them, only the size of what remains (Havas-Majewski, "Integer
     matrix diagonalization", 1997).  Transposing keeps them too, so the
-    dense form gets the side with fewer rows.
+    dense form gets the side with fewer rows.  A 1 x k or 2 x 2 tail gives
+    its determinantal divisors instead: g = gcd, and |det| / g if nonzero.
     """
     # a unit +-1 is its own inverse
     pivots, rest = _eliminate_units(A, {1, -1}.__contains__, int)
@@ -553,7 +554,14 @@ def smith_invariants(A):
     block = [[row.get(c, 0) for c in live] for row in rest]
     if len(rest) > len(live):
         block = list(zip(*block))
-    tail = smith_normal_form(block).invariant_factors if rest else ()
+    if len(block) == 1:
+        tail = (math.gcd(*block[0]),)
+    elif len(rest) == len(live) == 2:
+        (a, b), (c, d) = block
+        g, det = math.gcd(a, b, c, d), abs(a * d - b * c)
+        tail = (g, det // g) if det else (g,)
+    else:
+        tail = smith_normal_form(block).invariant_factors if rest else ()
     return (1,) * len(pivots) + tail
 
 

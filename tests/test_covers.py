@@ -862,6 +862,79 @@ class TestTietzeReducedCovers:
         assert sizes == [(128, 254)]
 
 
+class TestLazyCover:
+    """``reidemeister_schreier`` returns a view that builds each piece on
+    first read: the generator count and the exponent rows agree with the
+    presentation, which neither builds, and the coset tables are built
+    only when a relator has to be rewritten."""
+
+    @staticmethod
+    def assert_lazy(cm):
+        cp = reidemeister_schreier(cm, max_index=625)
+        n = cp.num_generators
+        rows = cp.exponent_rows()
+        assert "presentation" not in vars(cp)
+        assert ("_tables" in vars(cp)) == bool(cm.base.relators)
+        assert n == cp.presentation.num_generators
+        full = cp.presentation.exponent_rows()
+        nonzero = [{g: e for g, e in row.items() if e} for row in full]
+        assert rows == [row for row in nonzero if row]
+        return full
+
+    def test_hironaka_covers(self):
+        """Every cover the default hironaka suite builds, at index <= 256."""
+        count = relator_free = 0
+        for entry in entries():
+            P = entry.presentation
+            for tup in _cover_prime_tuples(abelianize(P).rank, 256):
+                cm = tietze_reduced(free_abelian_cover(P, tup))
+                self.assert_lazy(cm)
+                count += 1
+                relator_free += not cm.base.relators
+        assert (count, relator_free) == (54, 32)
+
+    def test_random_cover_maps(self):
+        """The seeded maps of TestTietzeReducedCovers, reduced or not."""
+        rng = random.Random(22)
+        zero_rows = zero_sums = 0
+        for _ in range(60):
+            cm = expanded_cover_map(rng)
+            for full in self.assert_lazy(cm), \
+                    self.assert_lazy(tietze_reduced(cm)):
+                zero_rows += sum(not any(row.values()) for row in full)
+                zero_sums += sum(0 in row.values() for row in full)
+        # both are left out of the lazy rows: 43 and 2,682 of 6,588 here
+        assert zero_rows >= 20 and zero_sums >= 1000
+
+    def test_relator_free_base_builds_no_table(self):
+        cm = free_abelian_cover(get("connected-sum-4").presentation, (7,) * 4)
+        cp = reidemeister_schreier(cm, max_index=2401)
+        hom = cover_homology(cp)
+        assert (hom.rank, hom.torsion) == (2401 * 3 + 1, ())
+        assert mod_p_betti(cp, 7) == hom.rank
+        assert not vars(cp).keys() & {"_tables", "presentation"}
+
+    def test_default_suites(self, monkeypatch):
+        """Counts over the seven default suites, whose cover checks are
+        cover_homology, shalen_wagreich_check and the torsion formula: 76
+        RS calls, of which the 42 on relator-free bases build no coset
+        table and the other 34 build one; none builds a cover word."""
+        cps = []
+        real = alexinv.covers.reidemeister_schreier
+
+        def spy(cm, max_index):
+            cps.append(real(cm, max_index))
+            return cps[-1]
+        monkeypatch.setattr(alexinv.covers, "reidemeister_schreier", spy)
+        monkeypatch.setattr(alexinv.verify, "reidemeister_schreier", spy)
+        for theorem in alexinv.verify.THEOREMS:
+            assert all(r.ok for r in alexinv.verify.run_suite(theorem))
+        tables = Counter((bool(cp.cover_map.base.relators),
+                          "_tables" in vars(cp)) for cp in cps)
+        assert tables == {(False, False): 42, (True, True): 34}
+        assert not any("presentation" in vars(cp) for cp in cps)
+
+
 class TestCoverHomology:
     """cover_homology's sparse Smith invariants against abelianize, the
     dense Smith form with its row transform."""

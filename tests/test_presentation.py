@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alexinv import corpus, presentation
-from alexinv.covers import free_abelian_cover, reidemeister_schreier
+from alexinv.covers import (free_abelian_cover, reidemeister_schreier,
+                            tietze_reduced)
 from alexinv.laurent import LaurentPoly, ParseError, parse_poly
 from alexinv.presentation import (Presentation, abelianize, concat,
                                   fox_matrix, inverse_word, mod_p_rank,
@@ -210,6 +211,79 @@ class TestSmithInvariants:
                     any(not any(col) for col in zip(*A)):
                 seen["zero row or column"] += 1
         assert min(seen.values()) >= 50, seen
+
+
+class TestSmithTail:
+    """A leftover block of one row, or 2 x 2, gets its invariant factors
+    from the gcd of its entries and its determinant, with no dense Smith
+    form; the dense form of the same block stays the oracle."""
+
+    @staticmethod
+    def tail_of(A, monkeypatch):
+        """smith_invariants(A), the unit pivots and the leftover block,
+        failing if the dense form was called."""
+        def refuse(block):
+            raise AssertionError("dense Smith form on %r" % (block,))
+        monkeypatch.setattr(presentation, "smith_normal_form", refuse)
+        got = smith_invariants(A)
+        monkeypatch.undo()
+        pivots, rest = presentation._eliminate_units(A, {1, -1}.__contains__,
+                                                     int)
+        live = sorted({c for row in rest for c in row})
+        return got, pivots, [[row.get(c, 0) for c in live] for row in rest]
+
+    @staticmethod
+    def entry(rng, bits):
+        """A nonzero entry other than +-1, of up to ``bits`` bits."""
+        return rng.choice((1, -1)) * (2 + rng.getrandbits(bits))
+
+    def test_random_blocks(self, monkeypatch):
+        rng = random.Random(25)
+        seen = {"1 x k": 0, "k x 1": 0, "2 x 2": 0, "det 0": 0,
+                "zero entry": 0, "over 10,000 bits": 0}
+        for case in range(400):
+            bits = 10_050 if case % 20 == 0 else rng.choice((2, 4, 8, 40))
+
+            def draw():
+                return 0 if rng.random() < 0.2 else self.entry(rng, bits)
+            shape = rng.choice(("1 x k", "k x 1", "2 x 2", "det 0"))
+            if shape == "1 x k":
+                A = [[draw() for _ in range(rng.randint(1, 6))]]
+            elif shape == "k x 1":
+                A = [[draw()] for _ in range(rng.randint(2, 6))]
+            elif shape == "2 x 2":
+                A = [[draw(), draw()], [draw(), draw()]]
+            else:  # both rows multiples of one vector
+                v, a, b = [draw(), draw()], draw(), draw()
+                A = [[a * x for x in v], [b * x for x in v]]
+            got, pivots, block = self.tail_of(A, monkeypatch)
+            assert not pivots
+            assert got == smith_normal_form(A).invariant_factors
+            seen[shape] += 1
+            seen["zero entry"] += any(0 in row for row in A)
+            seen["over 10,000 bits"] += max(
+                abs(x) for row in A for x in row).bit_length() > 10_000
+        assert min(seen.values()) >= 15, seen
+
+    @pytest.mark.parametrize("name, primes, shape", [
+        ("mapping-torus-A", (31,), (2, 2)), ("mapping-torus-A", (61,), (2, 2)),
+        ("mapping-torus-A", (127,), (2, 2)),
+        ("mapping-torus-fib", (31,), (2, 2)),
+        ("mapping-torus-fib", (61,), (2, 2)),
+        ("mapping-torus-fib", (127,), (2, 2)),
+        ("heisenberg", (7, 7), (1, 1)), ("heisenberg", (11, 11), (1, 1))])
+    def test_cover_torsion_tails(self, monkeypatch, name, primes, shape):
+        """The tails of the covers whose H1 the torsion benchmark takes:
+        the torsion check's Tietze-reduced cyclic covers of the mapping
+        tori, and the heisenberg covers as given."""
+        cm = free_abelian_cover(corpus.get(name).presentation, primes)
+        if len(primes) == 1:
+            cm = tietze_reduced(cm)
+        rows = reidemeister_schreier(cm, max_index=127).exponent_rows()
+        got, pivots, block = self.tail_of(rows, monkeypatch)
+        assert (len(block), len(block[0])) == shape
+        assert got == ((1,) * len(pivots)
+                       + smith_normal_form(block).invariant_factors)
 
 
 class TestEliminateUnits:
