@@ -129,10 +129,14 @@ class CoverPresentation:
     """The kernel of :func:`reidemeister_schreier`, each piece built once,
     when first read.  ``num_generators`` is Schreier's |G|(n - 1) + 1, and
     ``exponent_rows()`` reads the coset tables, so neither builds a name or
-    a word, and a relator-free base builds no table.  ``tree[c]`` is the
-    (parent coset, base generator) pair of the tree edge into coset c, and
-    None at coset 0; stored per coset, the transversal words would take
-    memory quadratic in the depth of the tree."""
+    a word, and a relator-free base builds no table.  The rows keep the
+    presentation's contract: ``cp.exponent_rows() ==
+    cp.presentation.exponent_rows()``, zero sums included.  ``tree[c]`` is
+    the (parent coset, base generator) pair of the tree edge into coset c,
+    and None at coset 0; stored per coset, the transversal words would take
+    memory quadratic in the depth of the tree.  No cover check reads
+    ``tree`` or ``transversal``: they fix the Schreier numbering behind the
+    names ``<base>_<coset>``, which the RS oracle tests compare them on."""
 
     cover_map: CoverMap
 
@@ -193,6 +197,13 @@ class CoverPresentation:
             if k is not None:
                 yield k, s
 
+    def _words(self):
+        """The letters of each cover relator, coset by coset and, within a
+        coset, base relator by base relator."""
+        cm = self.cover_map
+        return (self._letters(rel, c) for c, rel
+                in product(range(cm.deck.order), cm.base.relators))
+
     @cached_property
     def presentation(self):
         cm, schreier = self.cover_map, self._tables[2]
@@ -200,19 +211,12 @@ class CoverPresentation:
             tuple("%s_%d" % (cm.base.generator_names[g], c) for c, row
                   in enumerate(schreier) for g, k in enumerate(row)
                   if k is not None),
-            tuple(tuple(self._letters(rel, c)) for c, rel
-                  in product(range(cm.deck.order), cm.base.relators)))
+            tuple(map(tuple, self._words())))
 
     def exponent_rows(self):
-        """``presentation.exponent_rows()`` without zero sums or rows."""
-        cm, rows = self.cover_map, []
-        for c, rel in product(range(cm.deck.order), cm.base.relators):
-            row = {}
-            for k, s in self._letters(rel, c):
-                row[k] = row.get(k, 0) + s
-            if any(row.values()):
-                rows.append({k: e for k, e in row.items() if e})
-        return rows
+        """``presentation.exponent_rows()``, equal row for row, summed
+        from the same letters with no word built."""
+        return pres._exponent_rows(self._words())
 
 
 def mod_p_betti(P, p):
@@ -226,8 +230,6 @@ def mod_p_betti(P, p):
 def mod_p_cover(P, p):
     """The canonical cover with deck group (F_p)^{d_p}: abelianization
     reduced mod p, in the Smith basis that :func:`abelianize` fixes."""
-    if not is_prime(p):
-        raise ValueError("%r is not prime" % (p,))
     assignment = _mod_p_assignment(abelianize(P), p)
     return CoverMap(P, DeckGroup((p,) * len(assignment[0])), assignment)
 
@@ -235,6 +237,8 @@ def mod_p_cover(P, p):
 def _mod_p_assignment(ab, p):
     """Generator images of the canonical mod-p cover: the d_p coordinates
     of ``ab`` in each Z/d_i that p divides, then the free ones, mod p."""
+    if not is_prime(p):
+        raise ValueError("%r is not prime" % (p,))
     keep = [k for k, d in enumerate(ab.torsion) if d % p == 0]
     if not keep and not ab.rank:
         raise ValueError("d_%d is 0; no mod-%d cover" % (p, p))
@@ -415,12 +419,12 @@ def verify_torsion_cover_formula(P, primes, max_index=DEFAULT_MAX_INDEX):
 
 def shalen_wagreich_check(P, p, max_index=DEFAULT_MAX_INDEX):
     """d_p of the canonical mod-p cover, from RS on the Tietze-reduced
-    base, must be at least binom(r, 2) where r = d_p of the base."""
-    r = mod_p_betti(P, p)
-    if r < 1:
-        raise ValueError("d_p is 0; no mod-%d cover to test" % p)
+    base, must be at least binom(r, 2) where r = d_p of the base, the
+    length of each generator image of that cover."""
     ab = abelianize(P)
-    cm = CoverMap(P, DeckGroup((p,) * r), _mod_p_assignment(ab, p))
+    assignment = _mod_p_assignment(ab, p)
+    r = len(assignment[0])
+    cm = CoverMap(P, DeckGroup((p,) * r), assignment)
     d_cover = mod_p_betti(reidemeister_schreier(tietze_reduced(cm),
                                                 max_index), p)
     bound = comb(r, 2)

@@ -31,6 +31,43 @@ class ParseError(ValueError):
         self.position = position
 
 
+class _Scanner:
+    """The cursor both text parsers read with: ``pos`` is the offset into
+    ``text``, and errors carry it."""
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def error(self, message):
+        raise ParseError(message, self.pos)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def eat(self, ch):
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, ch):
+        if not self.eat(ch):
+            self.error("expected %r" % ch)
+
+    def digits(self):
+        """The run of digits at the cursor, possibly empty, consumed."""
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        return self.text[start:self.pos]
+
+
 MAX_EXPONENT = 10**6
 # Most bits a parsed power base^n may take, bounded by the terms it can
 # have (the lesser of its exponent box and C(terms + n - 1, n)) times
@@ -835,30 +872,12 @@ def format_poly(f):
     return " ".join(pieces)
 
 
-class _PolyParser:
+class _PolyParser(_Scanner):
     """Recursive-descent parser for the polynomial grammar."""
 
     def __init__(self, text, arity):
-        self.text = text
-        self.pos = 0
+        super().__init__(text)
         self.arity = arity
-
-    def error(self, message):
-        raise ParseError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def eat(self, ch):
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
 
     def parse(self):
         result = self.expr()
@@ -907,8 +926,7 @@ class _PolyParser:
 
     def factor(self):
         base = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
+        if self.eat("^"):
             self.skip_ws()
             at = self.pos
             exp = self.integer()
@@ -935,8 +953,7 @@ class _PolyParser:
         if ch == "(":
             self.pos += 1
             inner = self.expr()
-            if not self.eat(")"):
-                self.error("expected ')'")
+            self.expect(")")
             return inner
         if ch == "-":
             self.pos += 1
@@ -950,9 +967,7 @@ class _PolyParser:
     def variable(self):
         self.pos += 1
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        digits = self.text[start:self.pos]
+        digits = self.digits()
         if not digits:
             if self.arity != 1:
                 self.error("bare 't' needs arity 1; use t1..t%d" % self.arity)
@@ -966,20 +981,15 @@ class _PolyParser:
         return LaurentPoly.variable(index, self.arity)
 
     def unsigned_integer(self):
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
+        digits = self.digits()
+        if not digits:
             self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        return int(digits)
 
     def integer(self):
-        self.skip_ws()
-        sign = 1
-        if self.eat("-"):
-            sign = -1
-        elif self.eat("+"):
-            pass
+        sign = -1 if self.eat("-") else 1
+        if sign > 0:
+            self.eat("+")
         self.skip_ws()
         return sign * self.unsigned_integer()
 

@@ -25,7 +25,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 from operator import add
 
-from .laurent import MAX_EXPONENT, LaurentPoly, ParseError
+from .laurent import MAX_EXPONENT, LaurentPoly, _Scanner
 
 NAME_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789_"
 NAME_RE = re.compile("[a-z][a-z0-9_]*")
@@ -107,15 +107,22 @@ class Presentation:
         return "<%s | %s>" % (gens, rels)
 
     def exponent_rows(self):
-        """One sparse row {generator: exponent sum} per relator (zero sums
-        may stay): the image of the relator in Z^n under abelianization."""
-        rows = []
-        for rel in self.relators:
-            row = {}
-            for g, s in rel:
-                row[g] = row.get(g, 0) + s
-            rows.append(row)
-        return rows
+        """The image of each relator in Z^n under abelianization, as
+        :func:`_exponent_rows` of the relators."""
+        return _exponent_rows(self.relators)
+
+
+def _exponent_rows(words):
+    """The one builder of exponent rows: a dict {generator: exponent sum}
+    per word, in word order, keys in order of first letter, zero sums and
+    all-zero rows kept; only :func:`_eliminate_units`' intake filters."""
+    rows = []
+    for word in words:
+        row = {}
+        for g, s in word:
+            row[g] = row.get(g, 0) + s
+        rows.append(row)
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -130,64 +137,40 @@ def _strip_comments(text):
     return "\n".join(lines)
 
 
-class _PresParser:
+class _PresParser(_Scanner):
     def __init__(self, text):
-        self.text = _strip_comments(text)
-        self.pos = 0
+        super().__init__(_strip_comments(text))
         self.names = []
         self.index = {}
         self.tokens = []  # generator names and their inverses, longest first
-
-    def error(self, message):
-        raise ParseError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch):
-        if self.peek() != ch:
-            self.error("expected %r" % ch)
-        self.pos += 1
 
     def parse(self):
         self.expect("<")
         if self.peek() != "|":
             self.names.append(self.generator_name())
-            while self.peek() == ",":
-                self.pos += 1
+            while self.eat(","):
                 self.names.append(self.generator_name())
         if len(set(self.names)) != len(self.names):
             self.error("duplicate generator name")
         self.index = {name: i for i, name in enumerate(self.names)}
         self.tokens = sorted(self.names, key=len, reverse=True)
         relators = []
-        self.skip_ws()
-        if self.peek() == "|":
-            self.pos += 1
-            if self.peek() != ">":
+        if self.eat("|") and self.peek() != ">":
+            relators.append(self.word())
+            while self.eat(","):
                 relators.append(self.word())
-                while self.peek() == ",":
-                    self.pos += 1
-                    relators.append(self.word())
         self.expect(">")
-        self.skip_ws()
-        if self.pos < len(self.text):
+        if self.peek():
             self.error("unexpected trailing input")
         return Presentation(tuple(self.names), tuple(relators))
 
     def generator_name(self):
         self.skip_ws()
-        start = self.pos
-        if self.pos >= len(self.text) or self.text[self.pos] not in NAME_CHARS[:26]:
+        name = NAME_RE.match(self.text, self.pos)
+        if not name:
             self.error("expected a generator name (lowercase letter)")
-        while self.pos < len(self.text) and self.text[self.pos] in NAME_CHARS:
-            self.pos += 1
-        return self.text[start:self.pos]
+        self.pos = name.end()
+        return name.group()
 
     def word(self):
         atoms, length = [], 0
@@ -245,19 +228,12 @@ class _PresParser:
         self.error("unknown generator name %r" % self.text[self.pos:end])
 
     def maybe_power(self, word):
-        if self.peek() == "^":
-            self.pos += 1
-            self.skip_ws()
-            sign = 1
-            if self.peek() == "-":
-                self.pos += 1
-                sign = -1
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if start == self.pos:
+        if self.eat("^"):
+            sign = -1 if self.eat("-") else 1
+            digits = self.digits()
+            if not digits:
                 self.error("expected an integer exponent")
-            n = sign * int(self.text[start:self.pos])
+            n = sign * int(digits)
             self.check_length(len(word) * abs(n))
             return word_power(word, n)
         return word
@@ -456,6 +432,13 @@ def _eliminate_units(A, is_unit, inverse, modulus=None):
     pivot order, and the rows left over, in their original order, as dicts
     {column: nonzero entry}.  A row of A is a sequence of ring entries or a
     dict {column: entry}; with a modulus, entries are integers mod a prime.
+
+    The intake is the one filter: it copies each row, reduced by the
+    modulus if any, without zero entries, and drops a row left empty.  It
+    must copy, as elimination rewrites rows in place and its input may be
+    dense (A - I of a corpus entry, a cover map's surjectivity matrix, an
+    ``AlexanderMatrix``), unreduced mod p, or read again by the caller.
+    Row and entry order are kept, so filtering first changes nothing.
 
     Each step takes the shortest row that holds a unit, the first in row
     order on ties, and its unit in the column with the fewest rows, the

@@ -271,6 +271,15 @@ class TestVerify:
                              "--corpus", "mapping-torus-A", "--primes", "x")
         assert code == 2 and "'x'" in err and not out
 
+    @pytest.mark.parametrize("theorem", ["torsion-cover", "hironaka",
+                                         "shalen-wagreich"])
+    @pytest.mark.parametrize("prime", ["0", "1", "4"])
+    def test_nonprime_primes(self, capsys, theorem, prime):
+        code, out, err = run(capsys, "verify", theorem, "--corpus",
+                             "mapping-torus-A", "--primes", prime)
+        assert code == 2 and not out
+        assert err == "error: %s is not prime\n" % prime
+
     @pytest.mark.parametrize("argv", [("levine", "--cases", "-3"),
                                       ("hironaka", "--max-index", "0")])
     def test_zero_cases_fail(self, capsys, argv):

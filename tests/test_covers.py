@@ -877,8 +877,8 @@ class TestLazyCover:
         assert ("_tables" in vars(cp)) == bool(cm.base.relators)
         assert n == cp.presentation.num_generators
         full = cp.presentation.exponent_rows()
-        nonzero = [{g: e for g, e in row.items() if e} for row in full]
-        assert rows == [row for row in nonzero if row]
+        assert rows == full
+        assert [list(row) for row in rows] == [list(row) for row in full]
         return full
 
     def test_hironaka_covers(self):
@@ -903,7 +903,8 @@ class TestLazyCover:
                     self.assert_lazy(tietze_reduced(cm)):
                 zero_rows += sum(not any(row.values()) for row in full)
                 zero_sums += sum(0 in row.values() for row in full)
-        # both are left out of the lazy rows: 43 and 2,682 of 6,588 here
+        # both stay in the lazy rows, as in the presentation's: 43 and
+        # 2,682 of 6,588 here; only the kernel's intake drops them
         assert zero_rows >= 20 and zero_sums >= 1000
 
     def test_relator_free_base_builds_no_table(self):
@@ -1369,6 +1370,31 @@ class TestShalenWagreich:
     def test_resource_limit(self):
         with pytest.raises(CoverIndexError):
             shalen_wagreich_check(T3, 2, max_index=4)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_r_is_the_base_d_p(self, p):
+        """r, the length of each generator image of the canonical mod-p
+        cover, is the base's d_p from the F_p rank of its exponent rows."""
+        checked = 0
+        for entry in entries():
+            P = entry.presentation
+            r = mod_p_betti(P, p)
+            assert r >= 1
+            images = alexinv.covers._mod_p_assignment(abelianize(P), p)
+            assert {len(img) for img in images} == {r}
+            if p ** r <= 256:
+                assert shalen_wagreich_check(P, p).inputs["r"] == r
+                checked += 1
+        assert checked >= 5
+
+    def test_d_p_zero(self):
+        with pytest.raises(ValueError, match="d_2 is 0"):
+            shalen_wagreich_check(parse_presentation("<x | x^3>"), 2)
+
+    @pytest.mark.parametrize("p", [0, 1, 4])
+    def test_not_prime(self, p):
+        with pytest.raises(ValueError, match="%d is not prime" % p):
+            shalen_wagreich_check(T3, p)
 
     def test_t3_index_1331(self):
         # 3993 relators on 2663 cover generators; the time bound fails a

@@ -1,4 +1,6 @@
+import copy
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -364,6 +366,27 @@ class TestEliminateUnits:
             several += len(got[0]) >= 3
         assert several >= 50
 
+    def test_intake_copies_its_rows(self):
+        """The intake is the one filter, and it copies: the kernel and both
+        its integer callers leave list and dict rows as they were, zero
+        entries, their order and empty rows included."""
+        rng = random.Random(21)
+        for _ in range(200):
+            rows = self.random_rows(rng, (1, -1, 2, 7, -7, 14), 8)
+            if rng.random() < 0.3:
+                rows.append([0] * len(rows[0]))
+            dicts = [dict(rng.sample(list(enumerate(row)), len(row)))
+                     for row in rows] + [{}]
+            for A in rows, dicts:
+                before = copy.deepcopy(A)
+                presentation._eliminate_units(A, {1, -1}.__contains__, int)
+                smith_invariants(A)
+                mod_p_rank(A, 7)
+                assert A == before
+            # the last copy is of the dict rows
+            assert [list(row.items()) for row in dicts] == \
+                [list(row.items()) for row in before]
+
 
 class TestAbelianize:
     def test_torus(self):
@@ -467,6 +490,28 @@ class TestModPRank:
             if any(x and x % p == 0 for row in A for x in row):
                 seen["nonzero entry 0 mod p"] += 1
         assert min(seen.values()) >= 50, seen
+
+    def test_unfiltered_dict_rows(self):
+        """Dict rows as exponent_rows gives them, left for the kernel's
+        intake to filter: explicit zeros, entries 0 mod p, empty rows, and
+        keys in any order."""
+        rng = random.Random(26)
+        seen = Counter()
+        for _ in range(600):
+            m, n = rng.randint(0, 10), rng.randint(1, 10)
+            p = rng.choice((2, 3, 5, 7))
+            pool = (0, 1, -1, 2, -3, p, -2 * p, p + 1)
+            rows = [{j: rng.choice(pool)
+                     for j in rng.sample(range(n), rng.randint(0, n))}
+                    for _ in range(m)]
+            dense = [[row.get(j, 0) for j in range(n)] for row in rows]
+            assert mod_p_rank(rows, p) == dense_mod_p_rank(dense, p)
+            values = [x for row in rows for x in row.values()]
+            seen["explicit zero"] += 0 in values
+            seen["nonzero entry 0 mod p"] += any(x and x % p == 0
+                                                 for x in values)
+            seen["empty row"] += {} in rows
+        assert min(seen.values()) >= 100, seen
 
 
 class TestFoxCalculus:
