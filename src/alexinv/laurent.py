@@ -35,6 +35,9 @@ class _Scanner:
     """The cursor both text parsers read with: ``pos`` is the offset into
     ``text``, and errors carry it."""
 
+    SPACE = re.compile(r"\s*")  # \s is exactly str.isspace on str patterns
+    DIGITS = re.compile("[0-9]*")  # ASCII only: int() rejects some isdigit()s
+
     def __init__(self, text):
         self.text = text
         self.pos = 0
@@ -43,12 +46,12 @@ class _Scanner:
         raise ParseError(message, self.pos)
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        if self.text[self.pos:self.pos + 1].isspace():
+            self.pos = self.SPACE.match(self.text, self.pos).end()
 
     def peek(self):
         self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos:self.pos + 1]
 
     def eat(self, ch):
         if self.peek() == ch:
@@ -61,11 +64,10 @@ class _Scanner:
             self.error("expected %r" % ch)
 
     def digits(self):
-        """The run of digits at the cursor, possibly empty, consumed."""
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        return self.text[start:self.pos]
+        """The run of ASCII digits at the cursor, possibly empty, consumed."""
+        run = self.DIGITS.match(self.text, self.pos)
+        self.pos = run.end()
+        return run.group()
 
 
 MAX_EXPONENT = 10**6
@@ -566,7 +568,7 @@ def _dict_quotient(f, g):
     # g*q packs to f at width; that proves g*q == f when g*q stays inside
     # the box and its coefficients, at most |g|_1 * |q|_inf, fit the slots
     if (q and all(a + b <= c for a, b, c in zip(_degrees(q), gdeg, fdeg))
-            and (g1 * max(abs(c) for c in q.values())).bit_length() < width):
+            and (g1 * max(map(abs, q.values()))).bit_length() < width):
         return q
     return _dict_div_exact(f, g)
 
@@ -907,7 +909,7 @@ class _PolyParser(_Scanner):
             ch = self.peek()
             if ch == "*":
                 self.pos += 1
-            elif not (ch.isdigit() or ch == "t" or ch == "("):
+            elif not ("0" <= ch <= "9" or ch == "t" or ch == "("):
                 return result
             # a product, or a juxtaposition such as "2t" or "3(t+1)"
             self.skip_ws()
@@ -958,7 +960,7 @@ class _PolyParser(_Scanner):
         if ch == "-":
             self.pos += 1
             return -self.atom()
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             return LaurentPoly.constant(self.unsigned_integer(), self.arity)
         if ch == "t":
             return self.variable()

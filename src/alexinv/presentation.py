@@ -46,13 +46,39 @@ def inverse_word(word):
     return tuple((g, -s) for g, s in reversed(word))
 
 
+def cyclic_reduce(word):
+    """Cancel first against last letters of a freely reduced word."""
+    i, j = 0, len(word) - 1
+    while i < j and word[i][0] == word[j][0] and word[i][1] != word[j][1]:
+        i, j = i + 1, j - 1
+    return word[i:j + 1]
+
+
+def _join(words):
+    """The product of reduced words, reduced where the words meet."""
+    out = []
+    for word in words:
+        i = 0
+        while (out and i < len(word) and out[-1][0] == word[i][0]
+               and out[-1][1] == -word[i][1]):
+            out.pop()
+            i += 1
+        out += word[i:]
+    return tuple(out)
+
+
 def concat(*words):
     return reduce_word(chain(*words))
 
 
 def word_power(word, n):
-    base = tuple(word) if n >= 0 else inverse_word(word)
-    return reduce_word(base * abs(n))
+    """word^n reduced: u v^|n| u^-1, where the reduced base is u v u^-1."""
+    base = reduce_word(word if n >= 0 else inverse_word(word))
+    if not (base and n):
+        return ()
+    v = cyclic_reduce(base)
+    k = (len(base) - len(v)) // 2
+    return base[:k] + v * abs(n) + base[len(base) - k:]
 
 
 @dataclass(frozen=True)
@@ -129,31 +155,25 @@ def _exponent_rows(words):
 # Parsing.
 # ----------------------------------------------------------------------
 
-def _strip_comments(text):
-    lines = []
-    for line in text.splitlines():
-        cut = line.find("#")
-        lines.append(line if cut < 0 else line[:cut])
-    return "\n".join(lines)
-
-
 class _PresParser(_Scanner):
     def __init__(self, text):
-        super().__init__(_strip_comments(text))
-        self.names = []
-        self.index = {}
-        self.tokens = []  # generator names and their inverses, longest first
+        super().__init__("\n".join(line.split("#", 1)[0]  # cut comments
+                                   for line in text.splitlines()))
+        self.letters = {}  # names and their inverses: one-letter words
+        self.lengths = []  # the lengths of the names, distinct, longest first
 
     def parse(self):
         self.expect("<")
+        names = []
         if self.peek() != "|":
-            self.names.append(self.generator_name())
+            names.append(self.generator_name())
             while self.eat(","):
-                self.names.append(self.generator_name())
-        if len(set(self.names)) != len(self.names):
+                names.append(self.generator_name())
+        if len(set(names)) != len(names):
             self.error("duplicate generator name")
-        self.index = {name: i for i, name in enumerate(self.names)}
-        self.tokens = sorted(self.names, key=len, reverse=True)
+        self.letters = {key: ((i, s),) for i, name in enumerate(names)
+                        for key, s in ((name, 1), (name.upper(), -1))}
+        self.lengths = sorted(set(map(len, names)), reverse=True)
         relators = []
         if self.eat("|") and self.peek() != ">":
             relators.append(self.word())
@@ -162,7 +182,8 @@ class _PresParser(_Scanner):
         self.expect(">")
         if self.peek():
             self.error("unexpected trailing input")
-        return Presentation(tuple(self.names), tuple(relators))
+        # trusted: unique NAME_RE names, reduced relators of their letters
+        return Presentation._own(tuple(names), tuple(relators))
 
     def generator_name(self):
         self.skip_ws()
@@ -182,7 +203,7 @@ class _PresParser(_Scanner):
             if ch == "*":
                 self.pos += 1
             elif not (ch and (ch.isalpha() or ch in "([1")):
-                return concat(*atoms)
+                return atoms[0] if len(atoms) == 1 else _join(atoms)
 
     def check_length(self, length):
         # a word is stored letter by letter, so its length is capped the
@@ -204,7 +225,8 @@ class _PresParser(_Scanner):
             self.expect(",")
             b = self.word()
             self.expect("]")
-            return self.maybe_power(concat(a, b, inverse_word(a), inverse_word(b)))
+            return self.maybe_power(
+                _join((a, b, inverse_word(a), inverse_word(b))))
         if ch == "1":
             self.pos += 1
             return self.maybe_power(())
@@ -213,14 +235,13 @@ class _PresParser(_Scanner):
         self.error("expected a word" if ch else "unexpected end of input")
 
     def letter(self):
-        self.skip_ws()
-        for name in self.tokens:
-            if self.text.startswith(name, self.pos):
-                self.pos += len(name)
-                return ((self.index[name], 1),)
-            if self.text.startswith(name.upper(), self.pos):
-                self.pos += len(name)
-                return ((self.index[name], -1),)
+        # names are unique and their inverses start uppercase, so at most
+        # one key of each length starts here; the longest wins
+        for n in self.lengths:
+            key = self.text[self.pos:self.pos + n]
+            if key in self.letters:
+                self.pos += len(key)
+                return self.letters[key]
         # isolate the offending identifier for the message
         end = self.pos
         while end < len(self.text) and self.text[end].lower() in NAME_CHARS:
@@ -247,14 +268,6 @@ def parse_presentation(text):
 # ----------------------------------------------------------------------
 # Tietze eliminations.
 # ----------------------------------------------------------------------
-
-def cyclic_reduce(word):
-    """Cancel first against last letters of a freely reduced word."""
-    i, j = 0, len(word) - 1
-    while i < j and word[i][0] == word[j][0] and word[i][1] != word[j][1]:
-        i, j = i + 1, j - 1
-    return word[i:j + 1]
-
 
 def _once(word):
     """The lowest generator occurring exactly once in a word, or None."""

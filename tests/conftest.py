@@ -12,9 +12,11 @@ lists, root-of-unity norms from a product in the group ring,
 inverses and norms in Q(zeta_m) from a Euclid over Q in Fractions,
 Reidemeister-Schreier rewriting by stepping a coset tuple per letter,
 Kronecker packing slot by slot, symmetry classes from the involution and
-one shifted copy of the polynomial, and Fox derivatives in the free group
-ring itself, before abelianization.  The dense Fox matrix, every zero
-entry included, feeds the minors of the whole matrix.  The canonical
+one shifted copy of the polynomial, presentations from a character-level
+parser that tries every generator name at each letter, and Fox
+derivatives in the free group ring itself, before abelianization.  The
+dense Fox matrix, every zero entry included, feeds the minors of the whole
+matrix.  The canonical
 mod-p cover is read off the rows of the dense Smith transform U of the
 exponent matrix, which is counted letter by letter, with no
 abelianization.
@@ -23,7 +25,7 @@ abelianization.
 from collections import Counter, namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations, product, zip_longest
+from itertools import chain, combinations, product, zip_longest
 from math import gcd as int_gcd
 from math import prod
 
@@ -33,10 +35,11 @@ import alexinv.laurent
 from alexinv.alexander import AlexanderMatrix
 from alexinv.covers import CoverMap, DeckGroup, is_prime
 from alexinv.cyclotomic import cyclotomic_polynomial
-from alexinv.laurent import (LaurentPoly, MonomialUnit, Symmetry,
-                             SymmetryClass, involution)
-from alexinv.presentation import (Presentation, abelianize, fox_matrix,
-                                  reduce_word, smith_normal_form)
+from alexinv.laurent import (MAX_EXPONENT, LaurentPoly, MonomialUnit,
+                             ParseError, Symmetry, SymmetryClass, involution)
+from alexinv.presentation import (NAME_CHARS, NAME_RE, Presentation,
+                                  abelianize, fox_matrix, reduce_word,
+                                  smith_normal_form)
 
 
 def int_det(A):
@@ -127,6 +130,144 @@ def dense_mod_p_cover(P, p):
     assignment = tuple(tuple(snf.U[i][j] % p for i in coords)
                        for j in range(n))
     return CoverMap(P, DeckGroup((p,) * len(coords)), assignment)
+
+
+class OraclePresParser:
+    """The letter-by-letter parser of ``<gens | relators>`` text that
+    :func:`parse_presentation` replaced: a character-level cursor, each
+    generator name and then its uppercase form tried at every letter,
+    longest first, powers and products reduced letter by letter, and the
+    result checked again by ``Presentation``.  Digit runs are ASCII.
+    Comments are cut as :func:`parse_presentation` cuts them."""
+
+    def __init__(self, text):
+        self.text = "\n".join(line.split("#", 1)[0]
+                              for line in text.splitlines())
+        self.pos = 0
+        self.names = []
+        self.index = {}
+        self.tokens = []
+
+    def error(self, message):
+        raise ParseError(message, self.pos)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def eat(self, ch):
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, ch):
+        if not self.eat(ch):
+            self.error("expected %r" % ch)
+
+    def parse(self):
+        self.expect("<")
+        if self.peek() != "|":
+            self.names.append(self.generator_name())
+            while self.eat(","):
+                self.names.append(self.generator_name())
+        if len(set(self.names)) != len(self.names):
+            self.error("duplicate generator name")
+        self.index = {name: i for i, name in enumerate(self.names)}
+        self.tokens = sorted(self.names, key=len, reverse=True)
+        relators = []
+        if self.eat("|") and self.peek() != ">":
+            relators.append(self.word())
+            while self.eat(","):
+                relators.append(self.word())
+        self.expect(">")
+        if self.peek():
+            self.error("unexpected trailing input")
+        return Presentation(tuple(self.names), tuple(relators))
+
+    def generator_name(self):
+        self.skip_ws()
+        name = NAME_RE.match(self.text, self.pos)
+        if not name:
+            self.error("expected a generator name (lowercase letter)")
+        self.pos = name.end()
+        return name.group()
+
+    def word(self):
+        atoms, length = [], 0
+        while True:
+            atoms.append(self.atom())
+            length += len(atoms[-1])
+            self.check_length(length)
+            ch = self.peek()
+            if ch == "*":
+                self.pos += 1
+            elif not (ch and (ch.isalpha() or ch in "([1")):
+                return reduce_word(chain.from_iterable(atoms))
+
+    def check_length(self, length):
+        if length > MAX_EXPONENT:
+            self.error("word too long (over %d letters)" % MAX_EXPONENT)
+
+    def atom(self):
+        ch = self.peek()
+        if ch == "(":
+            self.pos += 1
+            inner = self.word()
+            self.expect(")")
+            return self.maybe_power(inner)
+        if ch == "[":
+            self.pos += 1
+            a = self.word()
+            self.expect(",")
+            b = self.word()
+            self.expect("]")
+            inv = [tuple((g, -s) for g, s in reversed(w)) for w in (a, b)]
+            return self.maybe_power(reduce_word(a + b + inv[0] + inv[1]))
+        if ch == "1":
+            self.pos += 1
+            return self.maybe_power(())
+        if ch.isalpha():
+            return self.maybe_power(self.letter())
+        self.error("expected a word" if ch else "unexpected end of input")
+
+    def letter(self):
+        self.skip_ws()
+        for name in self.tokens:
+            if self.text.startswith(name, self.pos):
+                self.pos += len(name)
+                return ((self.index[name], 1),)
+            if self.text.startswith(name.upper(), self.pos):
+                self.pos += len(name)
+                return ((self.index[name], -1),)
+        end = self.pos
+        while end < len(self.text) and self.text[end].lower() in NAME_CHARS:
+            end += 1
+        self.error("unknown generator name %r" % self.text[self.pos:end])
+
+    def maybe_power(self, word):
+        if self.eat("^"):
+            sign = -1 if self.eat("-") else 1
+            start = self.pos
+            while (self.pos < len(self.text)
+                   and "0" <= self.text[self.pos] <= "9"):
+                self.pos += 1
+            if start == self.pos:
+                self.error("expected an integer exponent")
+            n = sign * int(self.text[start:self.pos])
+            self.check_length(len(word) * abs(n))
+            base = word if n >= 0 else tuple((g, -s) for g, s in
+                                             reversed(word))
+            return reduce_word(base * abs(n))
+        return word
+
+
+def oracle_parse_presentation(text):
+    return OraclePresParser(text).parse()
 
 
 def random_power_presentation(rng):

@@ -75,6 +75,14 @@ class TestCompute:
         code, out, err = run(capsys, "compute", str(path))
         assert code == 2 and "too long" in err and not out
 
+    @pytest.mark.parametrize("exponent", ["\u00b2", "\u0661"])
+    def test_exponent_digits_are_ascii(self, tmp_path, capsys, exponent):
+        path = tmp_path / "digits.txt"
+        path.write_text("<x | x^%s>" % exponent, encoding="utf-8")
+        code, out, err = run(capsys, "compute", str(path))
+        assert (code, out, err) == (
+            2, "", "error: expected an integer exponent (at position 7)\n")
+
     def test_minor_budget(self, tmp_path, capsys):
         # T^9: 36 commutator rows, no unit entry, 8-minors far over budget
         gens = ["x%d" % i for i in range(9)]
@@ -117,6 +125,11 @@ class TestClassify:
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "classify", "t +")
         assert code == 2 and err
+
+    def test_non_ascii_digit(self, capsys):
+        code, out, err = run(capsys, "classify", "t^\u00b2")
+        assert (code, out, err) == (
+            2, "", "error: expected an integer (at position 2)\n")
 
     def test_zero_poly(self, capsys):
         code, _, err = run(capsys, "classify", "0")

@@ -708,6 +708,19 @@ class TestParsePrint:
         with pytest.raises(ParseError):
             parse_poly("q + 1", 1)
 
+    @pytest.mark.parametrize("text,arity,message,position", [
+        ("t^\u00b2", 1, "expected an integer", 2),
+        ("\u00b2", 1, "expected a term", 0),
+        ("t^-\u0661", 1, "expected an integer", 3),
+        ("t\u0661", 2, "bare 't' needs arity 1; use t1..t2", 1),
+        ("t\u0661 + 1", 1, "unexpected trailing input '\u0661'", 1)])
+    def test_digits_are_ascii(self, text, arity, message, position):
+        # int() rejects some of what str.isdigit accepts, and reads
+        # others, such as U+0661, as digits; neither is a digit here
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, arity)
+        assert str(err.value) == "%s (at position %d)" % (message, position)
+
     def test_exponent_overflow(self):
         with pytest.raises(ParseError):
             parse_poly("t^99999999", 1)

@@ -17,8 +17,9 @@ from alexinv.presentation import (Presentation, abelianize, concat,
                                   word_power)
 from conftest import (FreeGroupRingElement, assert_well_formed,
                       dense_fox_matrix, dense_mod_p_rank, exponent_matrix,
-                      fox_derivative, int_det, random_power_presentation,
-                      rescan_eliminate, smith_factors_oracle)
+                      fox_derivative, int_det, oracle_parse_presentation,
+                      random_power_presentation, rescan_eliminate,
+                      smith_factors_oracle)
 
 
 def random_word(rng, n, max_len):
@@ -80,12 +81,121 @@ class TestParsing:
         P = Presentation(("x", "x_0", "b12_345", "z9"), ())
         assert P.generator_names == ("x", "x_0", "b12_345", "z9")
 
-    @pytest.mark.parametrize("text", ["<x | x^2000000>",
-                                      "<x | x^600000*x^600000>"])
+    # a power is checked before it is built
+    @pytest.mark.parametrize("text", [
+        "<x | x^2000000>", "<x | x^600000*x^600000>", "<x | x^1000001>",
+        "<x, y | y*x^-1000001>", "<x | (x)^1000001>",
+        "<x | x^500000*x^500001>", "<x | x^%s>" % ("9" * 30),
+        "<x, y | (x*y)^-%s>" % ("9" * 30)])
     def test_word_too_long(self, text):
         with pytest.raises(ParseError) as err:
             parse_presentation(text)
         assert "too long" in str(err.value)
+        assert parse_outcome(oracle_parse_presentation, text) == (
+            "ParseError", str(err.value), err.value.position)
+
+
+# Names that share prefixes, so juxtaposed letters need the longest-prefix
+# rule, and characters where str methods and ASCII rules part: Unicode
+# digits and spaces, a non-ASCII letter, and the Kelvin sign, whose
+# lowercase is k.
+FUZZ_NAMES = ("x", "x1", "x12", "xy", "y", "h", "y_2", "k")
+FUZZ_NOISE = "xyXYhH1029^-*()[],<>| \t\n#_\u00e9\u212a\u00b2\u0661\u2028"
+
+
+def fuzz_word(rng, names, depth=0):
+    atoms = []
+    for _ in range(rng.randint(1, 4)):
+        r = rng.random()
+        if (r < 0.55 or depth > 2) and names:
+            name = rng.choice(names)
+            atom = name.upper() if rng.random() < 0.4 else name
+        elif depth > 2 or r >= 0.85:
+            atom = "1"
+        elif r < 0.7:
+            atom = "(%s)" % fuzz_word(rng, names, depth + 1)
+        else:
+            atom = "[%s%s,%s]" % (fuzz_word(rng, names, depth + 1),
+                                  rng.choice(("", " ")),
+                                  fuzz_word(rng, names, depth + 1))
+        if rng.random() < 0.3:
+            atom += "%s^%s%s%d" % (rng.choice(("", " ")),
+                                   rng.choice(("", " ")),
+                                   rng.choice(("", "", "-", "-", " -",
+                                               "", "-", "-", " -", "- ")),
+                                   rng.randint(0, 12))
+        atoms.append(atom)
+    seps = ("*", "", " ", " * ", "*  ", "\n")
+    return "".join(a + rng.choice(seps) for a in atoms[:-1]) + atoms[-1]
+
+
+def fuzz_text(rng):
+    """Mostly well-formed text, then up to three random edits: a deleted,
+    inserted or replaced character, or a cut."""
+    names = rng.sample(FUZZ_NAMES, rng.randint(0, 5))
+    if names and rng.random() < 0.05:
+        names.append(rng.choice(names))
+    words = [fuzz_word(rng, names) for _ in range(rng.randint(0, 3))]
+    text = "<%s | %s>" % (", ".join(names), ", ".join(words))
+    if rng.random() < 0.1:
+        text = "# a comment\n" + text.replace(", ", ",  # c\n", 1)
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        i = rng.randint(0, len(text))
+        edit = rng.randrange(4)
+        if edit == 0:
+            text = text[:i] + text[i + 1:]
+        elif edit == 1:
+            text = text[:i] + rng.choice(FUZZ_NOISE) + text[i:]
+        elif edit == 2:
+            text = text[:i] + rng.choice(FUZZ_NOISE) + text[i + 1:]
+        else:
+            text = text[:i]
+    return text
+
+
+def parse_outcome(parse, text):
+    """The presentation, or the error's type, message and position."""
+    try:
+        return parse(text)
+    except ValueError as err:
+        return type(err).__name__, str(err), getattr(err, "position", None)
+
+
+class TestParserOracle:
+    def test_differential(self):
+        rng = random.Random(27)
+        parsed = 0
+        for _ in range(20000):
+            text = fuzz_text(rng)
+            got = parse_outcome(parse_presentation, text)
+            assert got == parse_outcome(oracle_parse_presentation, text), text
+            parsed += isinstance(got, Presentation)
+        # both outcomes are well represented
+        assert 3000 < parsed < 17000
+
+    def test_longest_name_wins(self):
+        text = "<x, x1, x12, xy, y | x12x1xyx1yX12X1XYX1Y>"
+        P = parse_presentation(text)
+        assert P == oracle_parse_presentation(text)
+        assert P.relators == ((
+            (2, 1), (1, 1), (3, 1), (1, 1), (4, 1),
+            (2, -1), (1, -1), (3, -1), (1, -1), (4, -1)),)
+
+    def test_longest_word(self):
+        # TestParsing.test_word_too_long pins the letter past it
+        text = "<x | x^1000000>"
+        P = parse_presentation(text)
+        assert len(P.relators[0]) == 10**6
+        assert P == oracle_parse_presentation(text)
+
+    @pytest.mark.parametrize("text,position", [
+        ("<x | x^\u00b2>", 7), ("<x | x^\u0661>", 7), ("<x | x^-\u00b2>", 8)])
+    def test_exponent_digits_are_ascii(self, text, position):
+        for parse in (parse_presentation, oracle_parse_presentation):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert err.value.position == position
+            assert str(err.value).startswith("expected an integer exponent")
 
 
 class TestWords:
