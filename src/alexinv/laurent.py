@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import math
 import re
+import struct
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from operator import add, eq, mul, neg
+from operator import add, eq, itemgetter, mul, neg
 from types import MappingProxyType
 
 from .cyclotomic import character_evaluation, cyclotomic_norm, galois_orbits
@@ -41,6 +43,7 @@ class _Scanner:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0  # brackets open at the cursor
 
     def error(self, message):
         raise ParseError(message, self.pos)
@@ -66,11 +69,28 @@ class _Scanner:
     def digits(self):
         """The run of ASCII digits at the cursor, possibly empty, consumed."""
         run = self.DIGITS.match(self.text, self.pos)
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: none
+        if limit and run.end() - self.pos > limit:
+            self.error("integer too long (over %d digits)" % limit)
         self.pos = run.end()
         return run.group()
 
+    def open_bracket(self):
+        """Step into the bracket at the cursor, at most MAX_NESTING deep."""
+        if self.depth == MAX_NESTING:
+            self.error("brackets nested too deeply (over %d levels)"
+                       % MAX_NESTING)
+        self.depth += 1
+        self.pos += 1
+
+    def close_bracket(self, ch):
+        self.expect(ch)
+        self.depth -= 1
+
 
 MAX_EXPONENT = 10**6
+# Each bracket level costs up to four frames of recursive descent.
+MAX_NESTING = 100
 # Most bits a parsed power base^n may take, bounded by the terms it can
 # have (the lesser of its exponent box and C(terms + n - 1, n)) times
 # n * bits(|base|_1), the bits of its largest possible coefficient.  A
@@ -396,7 +416,8 @@ def classify_symmetry(f):
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no symmetry class")
-    cols = tuple(zip(*f.terms))  # read once, for the range and the mirror
+    # read once, for the range and the mirror; zip(*f.terms) is slow
+    cols = [list(map(itemgetter(i), f.terms)) for i in range(f.arity)]
     mid = tuple(map(add, map(min, cols), map(max, cols)))
     cand, get, coeffs = tuple(-x for x in mid), f.terms.get, f.terms.values()
     for sign, want in (1, coeffs), (-1, map(neg, coeffs)):
@@ -479,6 +500,9 @@ def _dict_div_exact(f, g):
 
 # Packed size in bits above which _dict_quotient does long division instead.
 PACK_MAX_BITS = 1 << 24
+# Signed typecodes by native item size, for a typed view of slots.
+_SIGNED = dict(zip(map(struct.calcsize, "bhiq"), "bhiq"))
+_NONZERO = re.compile(rb"[^\0]+")
 
 
 def _pack(f, strides, nslots, width):
@@ -498,8 +522,10 @@ def _pack(f, strides, nslots, width):
 
 
 def _unpack(v, dims, nslots, width):
-    """The polynomial whose balanced slots make v, or None if v needs more
-    than nslots slots.  Only the nonzero slots are read, by byte slicing."""
+    """The polynomial whose balanced slots make v, its degree in each
+    variable and its height, or None if v needs more than nslots slots.
+    Only the nonzero slots are read, a run at a time where a typed view
+    can read them (1, 2, 4 or 8 bytes, little-endian), else one by one."""
     nb = width // 8
     # 2^(width-1) in every slot: adding it clears the borrows, and xoring
     # it back leaves each slot the two's complement of its coefficient;
@@ -510,23 +536,32 @@ def _unpack(v, dims, nslots, width):
     if v < 0 or v.bit_length() > nslots * width:
         return None
     raw = (v ^ half).to_bytes(nslots * nb, "little")
-    flags = 0
-    for j in range(nb):
-        flags |= int.from_bytes(raw[j::nb], "little")
-    runs = re.finditer(rb"[^\0]+", flags.to_bytes(nslots, "little"))
-    slots = [i for run in runs for i in range(*run.span())]
-    coeffs = [int.from_bytes(raw[i * nb:i * nb + nb], "little", signed=True)
-              for i in slots]
-    if len(dims) == 1:
-        return {(i,): c for i, c in zip(slots, coeffs)}
-    out = {}
-    for i, c in zip(slots, coeffs):
-        e = []
-        for d in dims:
-            i, x = divmod(i, d)
-            e.append(x)
-        out[tuple(e)] = c
-    return out
+    flags = raw
+    if nb > 1:
+        flags = 0
+        for j in range(nb):
+            flags |= int.from_bytes(raw[j::nb], "little")
+        flags = flags.to_bytes(nslots, "little")
+    runs = list(map(re.Match.span, _NONZERO.finditer(flags)))
+    slots = []
+    for i, j in runs:
+        slots += range(i, j)
+    if nb in _SIGNED and sys.byteorder == "little":
+        view, coeffs = memoryview(raw).cast(_SIGNED[nb]), []
+        for i, j in runs:
+            coeffs += view[i:j]
+    else:
+        coeffs = [int.from_bytes(raw[i * nb:i * nb + nb], "little",
+                                 signed=True) for i in slots]
+    if not slots:
+        return {}, [0] * len(dims), 0
+    cols, rest = [], slots  # slot i = sum(e_k * stride_k), mixed radix dims
+    for d in dims[:-1]:
+        cols.append([i % d for i in rest])
+        rest = [i // d for i in rest]
+    # the slots ascend, so the last exponent column does too
+    return (dict(zip(zip(*cols, rest), coeffs)), [*map(max, cols), rest[-1]],
+            max(max(coeffs), -min(coeffs)))
 
 
 def _degrees(f):
@@ -554,8 +589,8 @@ def _dict_quotient(f, g):
     for d in dims:
         strides.append(nslots)
         nslots *= d
-    g1 = sum(abs(c) for c in g.values())
-    height = max(abs(c) for c in f.values())
+    g1 = sum(map(abs, g.values()))
+    height = max(map(abs, f.values()))
     # whole bytes per slot, room for f's coefficients and a sign bit
     width = 8 * -(-(height.bit_length() + g1.bit_length() + 2) // 8)
     if width * nslots > PACK_MAX_BITS:
@@ -564,11 +599,11 @@ def _dict_quotient(f, g):
                    _pack(g, strides, nslots, width))
     if r:
         return None
-    q = _unpack(qp, dims, nslots, width)
+    q, qdeg, qheight = _unpack(qp, dims, nslots, width) or (None, (), 0)
     # g*q packs to f at width; that proves g*q == f when g*q stays inside
     # the box and its coefficients, at most |g|_1 * |q|_inf, fit the slots
-    if (q and all(a + b <= c for a, b, c in zip(_degrees(q), gdeg, fdeg))
-            and (g1 * max(map(abs, q.values()))).bit_length() < width):
+    if (q and all(a + b <= c for a, b, c in zip(qdeg, gdeg, fdeg))
+            and (g1 * qheight).bit_length() < width):
         return q
     return _dict_div_exact(f, g)
 
@@ -953,9 +988,9 @@ class _PolyParser(_Scanner):
     def atom(self):
         ch = self.peek()
         if ch == "(":
-            self.pos += 1
+            self.open_bracket()
             inner = self.expr()
-            self.expect(")")
+            self.close_bracket(")")
             return inner
         if ch == "-":
             self.pos += 1

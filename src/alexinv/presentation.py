@@ -22,8 +22,8 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import chain
-from operator import add
+from itertools import chain, groupby, repeat
+from operator import add, eq
 
 from .laurent import MAX_EXPONENT, LaurentPoly, _Scanner
 
@@ -215,16 +215,16 @@ class _PresParser(_Scanner):
     def atom(self):
         ch = self.peek()
         if ch == "(":
-            self.pos += 1
+            self.open_bracket()
             inner = self.word()
-            self.expect(")")
+            self.close_bracket(")")
             return self.maybe_power(inner)
         if ch == "[":
-            self.pos += 1
+            self.open_bracket()
             a = self.word()
             self.expect(",")
             b = self.word()
-            self.expect("]")
+            self.close_bracket("]")
             return self.maybe_power(
                 _join((a, b, inverse_word(a), inverse_word(b))))
         if ch == "1":
@@ -608,6 +608,11 @@ def mod_p_rank(A, p):
 # Fox calculus.
 # ----------------------------------------------------------------------
 
+# A relator with a run this long is read run by run; short runs cost less
+# letter by letter.
+LONG_RUN = 8
+
+
 def fox_matrix(P, ab=None):
     """Abelianized Fox derivatives, one sparse row per relator.
 
@@ -617,7 +622,10 @@ def fox_matrix(P, ab=None):
     rank >= 1.  Each relator is read once, tracking the image e of the
     prefix in Z^rank: a letter x_j adds t^e to entry j, a letter x_j^-1
     adds -t^(e - img x_j).  This is the product rule d(uv)/dx = du/dx +
-    u dv/dx of the free derivative pushed through abelianization.
+    u dv/dx of the free derivative pushed through abelianization (Fox,
+    1953).  A relator with a long run is read run by run: x_j^k adds t^e +
+    ... + t^(e+(k-1)a), a = img x_j, at once, x_j^-k adds -t^(e-a) - ... -
+    t^(e-ka), and either adds k t^e or -k t^e when a = 0.
     """
     if ab is None:
         ab = abelianize(P)
@@ -629,15 +637,35 @@ def fox_matrix(P, ab=None):
     for rel in P.relators:
         terms = defaultdict(dict)
         e = (0,) * ab.rank
-        for g, s in rel:
-            if s > 0:
-                key, e = e, tuple(map(add, e, images[g]))
-            else:
-                key = e = tuple(map(add, e, negated[g]))
-            terms[g][key] = terms[g].get(key, 0) + s
+        if not any(map(eq, rel, rel[LONG_RUN - 1:])):  # then no long run
+            for g, s in rel:
+                if s > 0:
+                    key, e = e, tuple(map(add, e, images[g]))
+                else:
+                    key = e = tuple(map(add, e, negated[g]))
+                terms[g][key] = terms[g].get(key, 0) + s
+        else:  # run by run
+            for (g, s), run in groupby(rel):
+                k, entry = len(list(run)), terms[g]
+                step = images[g] if s > 0 else negated[g]
+                first = e if s > 0 else tuple(map(add, e, step))
+                e = tuple(x + k * a for x, a in zip(e, step))
+                if not any(step):  # k equal keys
+                    entry[first] = entry.get(first, 0) + k * s
+                    continue
+                added = dict.fromkeys(zip(*(
+                    range(x, x + k * a, a) if a else repeat(x, k)
+                    for x, a in zip(first, step))), s)
+                if entry.keys().isdisjoint(added.keys()):
+                    entry.update(added)
+                else:
+                    for key in added:
+                        entry[key] = entry.get(key, 0) + s
         row = {}
         for g in sorted(terms):
-            t = {k: c for k, c in terms[g].items() if c}
+            t = terms[g]
+            if 0 in t.values():
+                t = {k: c for k, c in t.items() if c}
             if t:
                 row[g] = LaurentPoly._own(ab.rank, t)
         rows.append(row)

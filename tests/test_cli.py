@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -83,6 +84,24 @@ class TestCompute:
         assert (code, out, err) == (
             2, "", "error: expected an integer exponent (at position 7)\n")
 
+    def test_deep_brackets(self, tmp_path, capsys):
+        path = tmp_path / "deep.txt"
+        path.write_text("<x, y | %sx%s>" % ("(" * 1000, ")" * 1000))
+        code, out, err = run(capsys, "compute", str(path))
+        assert (code, out, err) == (
+            2, "", "error: brackets nested too deeply (over 100 levels) "
+                   "(at position 108)\n")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int() has no digit limit")
+    def test_overlong_exponent(self, tmp_path, capsys):
+        path = tmp_path / "digits.txt"
+        path.write_text("<x | x^%s>" % ("9" * 5000))
+        code, out, err = run(capsys, "compute", str(path))
+        assert (code, out, err) == (
+            2, "", "error: integer too long (over %d digits) "
+                   "(at position 7)\n" % sys.get_int_max_str_digits())
+
     def test_minor_budget(self, tmp_path, capsys):
         # T^9: 36 commutator rows, no unit entry, 8-minors far over budget
         gens = ["x%d" % i for i in range(9)]
@@ -130,6 +149,23 @@ class TestClassify:
         code, out, err = run(capsys, "classify", "t^\u00b2")
         assert (code, out, err) == (
             2, "", "error: expected an integer (at position 2)\n")
+
+    def test_deep_brackets(self, capsys):
+        code, out, err = run(capsys, "classify",
+                             "(" * 1000 + "t" + ")" * 1000)
+        assert (code, out, err) == (
+            2, "", "error: brackets nested too deeply (over 100 levels) "
+                   "(at position 100)\n")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int() has no digit limit")
+    @pytest.mark.parametrize("prefix", ["", "t^"])
+    def test_overlong_integer(self, capsys, prefix):
+        code, out, err = run(capsys, "classify", prefix + "9" * 5000)
+        assert (code, out, err) == (
+            2, "", "error: integer too long (over %d digits) "
+                   "(at position %d)\n"
+            % (sys.get_int_max_str_digits(), len(prefix)))
 
     def test_zero_poly(self, capsys):
         code, _, err = run(capsys, "classify", "0")

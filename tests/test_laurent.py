@@ -1,6 +1,7 @@
 import doctest
 import math
 import random
+import sys
 import time
 from collections import Counter
 from itertools import product
@@ -449,18 +450,21 @@ class TestPackedQuotient:
 
     def test_unpack_reads_only_nonzero_slots(self):
         """_unpack inverts pack_per_term on sparse and dense boxes, with
-        coefficients at both ends of the balanced slot range, and refuses a
-        value that needs more slots."""
+        coefficients at both ends of the balanced slot range, at slot
+        widths read through a typed view (1, 2, 4, 8 bytes) and slot by
+        slot (3 and 9-16 bytes); it returns the degrees and height of
+        what it unpacks, and refuses a value that needs more slots."""
         rng = random.Random(14)
         seen = Counter()
-        for case in range(240):
+        for case in range(600):
             arity = rng.randint(1, 3)
             dims = [rng.randint(1, 6) for _ in range(arity)]
             strides, nslots = [], 1
             for d in dims:
                 strides.append(nslots)
                 nslots *= d
-            width = 8 * rng.randint(1, 3)
+            nb = rng.choice((1, 2, 3, 4, 8, rng.randint(9, 16)))
+            width = 8 * nb
             top = 1 << (width - 1)
             box = list(product(*map(range, dims)))
             support = box if case % 2 else rng.sample(
@@ -469,11 +473,17 @@ class TestPackedQuotient:
                  for e in support}
             f = {e: c for e, c in f.items() if c and -top <= c < top}
             v = pack_per_term(f, strides, nslots, width)
-            assert alexinv.laurent._unpack(v, dims, nslots, width) == f
+            q, degrees, height = alexinv.laurent._unpack(
+                v, dims, nslots, width)
+            assert q == f
+            assert degrees == (alexinv.laurent._degrees(f) if f
+                               else [0] * arity)
+            assert height == max(map(abs, f.values()), default=0)
             assert alexinv.laurent._unpack(
                 v + (1 << (width * nslots)), dims, nslots, width) is None
             seen["arity %d" % arity] += 1
             seen["dense" if case % 2 else "sparse"] += 1
+            seen["%s bytes" % (nb if nb <= 8 else "9-16")] += 1
             seen["slot minimum"] += -top in f.values()
         assert min(seen.values()) >= 40, seen
 
@@ -720,6 +730,33 @@ class TestParsePrint:
         with pytest.raises(ParseError) as err:
             parse_poly(text, arity)
         assert str(err.value) == "%s (at position %d)" % (message, position)
+
+    def test_nesting_depth(self):
+        limit = alexinv.laurent.MAX_NESTING
+        assert parse_poly("(" * limit + "t" + ")" * limit, 1) == t
+        with pytest.raises(ParseError) as err:
+            parse_poly("(" * 1000 + "t" + ")" * 1000, 1)
+        assert str(err.value) == (
+            "brackets nested too deeply (over %d levels) (at position %d)"
+            % (limit, limit))
+        # closed brackets no longer count
+        assert parse_poly("+".join(["(t)"] * 1000), 1) == 1000 * t
+        assert parse_poly("2*--(-t)", 1) == -2 * t
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int() has no digit limit")
+    @pytest.mark.parametrize("prefix,arity", [
+        ("", 1), ("t^", 1), ("t^-", 1), ("1 + 2*", 1), ("t", 2)])
+    def test_digit_run_longer_than_int_converts(self, prefix, arity):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ParseError) as err:
+            parse_poly(prefix + "9" * (limit + 1), arity)
+        assert str(err.value) == (
+            "integer too long (over %d digits) (at position %d)"
+            % (limit, len(prefix)))
+        if not prefix:
+            assert parse_poly("9" * limit, 1) == \
+                LaurentPoly.constant(int("9" * limit), 1)
 
     def test_exponent_overflow(self):
         with pytest.raises(ParseError):

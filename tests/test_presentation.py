@@ -1,12 +1,14 @@
 import copy
 import random
+import sys
 from collections import Counter
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alexinv import corpus, presentation
+from alexinv import corpus, laurent, presentation
 from alexinv.covers import (free_abelian_cover, reidemeister_schreier,
                             tietze_reduced)
 from alexinv.laurent import LaurentPoly, ParseError, parse_poly
@@ -93,6 +95,28 @@ class TestParsing:
         assert "too long" in str(err.value)
         assert parse_outcome(oracle_parse_presentation, text) == (
             "ParseError", str(err.value), err.value.position)
+
+    @pytest.mark.parametrize("opening,closing", [("(", ")"), ("[", ",1]")])
+    def test_nesting_depth(self, opening, closing):
+        # [w,1] is the empty word, so the deepest accepted nest is short
+        limit = laurent.MAX_NESTING
+        nest = "<x, y | %s*y>" % (opening * limit + "x" + closing * limit)
+        assert parse_presentation(nest).num_relators == 1
+        with pytest.raises(ParseError) as err:
+            parse_presentation("<x, y | %sx%s>" % (opening * 1000,
+                                                   closing * 1000))
+        assert str(err.value) == (
+            "brackets nested too deeply (over %d levels) (at position %d)"
+            % (limit, len("<x, y | ") + limit))
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int() has no digit limit")
+    def test_exponent_longer_than_int_converts(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ParseError) as err:
+            parse_presentation("<x | x^%s>" % ("9" * (limit + 1)))
+        assert str(err.value) == (
+            "integer too long (over %d digits) (at position 7)" % limit)
 
 
 # Names that share prefixes, so juxtaposed letters need the longest-prefix
@@ -720,6 +744,50 @@ class TestFoxMatrix:
             for row in fox_matrix(P, ab):
                 for entry in row.values():
                     assert_well_formed(entry)
+
+    @pytest.mark.parametrize("text", [
+        # the second run of x overlaps the first in part, or (z has free
+        # image 0) cancels it whole, with a long run of z between
+        "<x, y | x^10*y*X^5>", "<x, y | x^64*y^-9*x^-60>",
+        "<x, z | x^10*z*X^10, z^3>", "<x, z | x^10*z^12*X^10, z^3>"])
+    def test_long_runs_that_meet(self, text):
+        P = parse_presentation(text)
+        ab = abelianize(P)
+        assert self.densified(P, ab) == self.reference(P, ab)
+
+    def test_powers_match_free_calculus(self):
+        """Relators built from powers: runs of 1-60 equal letters of both
+        signs, long runs of generators whose free image is 0, and free
+        ranks 1-3."""
+        rng = random.Random(28)
+        seen = Counter()
+        for _ in range(150):
+            n = rng.randint(2, 4)
+            relators = []
+            for _ in range(rng.randint(1, n - 1)):
+                word = []
+                for _ in range(rng.randint(1, 4)):
+                    word += [(rng.randrange(n), rng.choice((1, -1)))] \
+                        * rng.choice((1, 2, rng.randint(3, 60)))
+                relators.append(word)
+            if rng.random() < 0.5:  # a torsion generator: free image 0
+                relators.append([(rng.randrange(n), 1)] * rng.randint(2, 5))
+            P = Presentation(tuple("g%d" % i for i in range(n)), relators)
+            ab = abelianize(P)
+            if ab.rank < 1:
+                continue
+            assert self.densified(P, ab) == self.reference(P, ab)
+            for row in fox_matrix(P, ab):
+                for entry in row.values():
+                    assert_well_formed(entry)
+            seen["rank %d" % ab.rank] += 1
+            for rel in P.relators:
+                for (g, s), run in groupby(rel):
+                    if len(list(run)) >= presentation.LONG_RUN:
+                        seen["long run %+d" % s] += 1
+                        seen["long run, free image 0"] += \
+                            not any(ab.gen_images[g])
+        assert min(seen.values()) >= 10, seen
 
     def test_cover_rows_hold_only_nonzeros(self):
         # the index-127 cyclic cover of mapping-torus-A: 381 relators on
