@@ -84,39 +84,55 @@ def det(rows, arity):
     """Exact determinant by fraction-free Bareiss elimination over the
     Laurent ring; the empty 0 x 0 determinant is 1.
 
-    Step k replaces each entry below and right of the pivot by the 2 x 2
-    minor with the pivot, divided exactly by the previous pivot (Sylvester's
-    identity makes the division exact).  The pivot is the entry of column k
-    with fewest terms, a row swap away; with none, the determinant is 0.
+    Step k replaces each entry below and right of the pivot p_k by the 2 x 2
+    minor with the pivot, divided exactly by p_(k-1) (Sylvester's identity).
+    The pivot is the entry of column k with fewest terms, a row swap away;
+    with none, the determinant is 0.  A row whose column-k entry is 0 would
+    only be rescaled by p_k / p_(k-1), and these factors telescope (Bareiss,
+    Math. Comp. 22, 1968): a row is brought up from its step s to step k, by
+    p_(k-1) / p_(s-1) with p_(-1) = 1, only when read as a pivot candidate.
     A zero row or column gives 0 before any row is copied.  Unit entries
     get no special case: the order polynomials take their minors of the
     block left after :func:`unit_reduce` has cleared them."""
     if not all(map(any, rows)) or not all(map(any, zip(*rows))):
         return LaurentPoly.zero(arity)
     M = [list(row) for row in rows]
-    scale = LaurentPoly.one(arity)
     n = len(M)
-    for k in range(n - 1):
+    prev = [LaurentPoly.one(arity)]  # prev[k] = p_(k-1)
+    at = [0] * n  # the step whose entries row i holds
+    negate = False
+    for k in range(n):
         candidates = [i for i in range(k, n) if M[i][k]]
         if not candidates:
             return LaurentPoly.zero(arity)
+        for i in candidates:  # bring row i up from step at[i] to k
+            row, s = M[i], at[i]
+            for j in range(k, n) if s < k else ():
+                if row[j] and s:
+                    row[j] = divide_exact(prev[k] * row[j], prev[s])
+                elif row[j]:
+                    row[j] = prev[k] * row[j]
+            at[i] = k
         p = min(candidates, key=lambda i: len(M[i][k].terms))
         if p != k:
-            M[k], M[p] = M[p], M[k]
-            scale = -scale
+            M[k], M[p], at[k], at[p] = M[p], M[k], at[p], at[k]
+            negate = not negate
         pivot = M[k][k]
         for i in range(k + 1, n):
             row, lead = M[i], M[i][k]
+            if not lead:
+                continue
             for j in range(k + 1, n):
-                if lead and M[k][j]:
+                if M[k][j]:
                     entry = pivot * row[j] - lead * M[k][j]
                 elif row[j]:
                     entry = pivot * row[j]
                 else:
                     continue
-                row[j] = divide_exact(entry, prev) if k else entry
-        prev = pivot
-    return scale * M[-1][-1] if M else scale
+                row[j] = divide_exact(entry, prev[k]) if k else entry
+            at[i] = k + 1
+        prev.append(pivot)
+    return -prev[-1] if negate else prev[-1]
 
 
 # Most minors elementary_minors enumerates.  With unit entries cleared

@@ -269,7 +269,11 @@ def tietze_reduced(cm):
     their images.  The group and its map onto the deck group do not change,
     so neither does the cover, its H_1 or its d_p; RS just rewrites fewer
     generators and relators.  With nothing eliminated, cm comes back."""
-    Q, kept = pres.tietze_reduce(cm.base)
+    return _restricted(cm, *pres.tietze_reduce(cm.base))
+
+
+def _restricted(cm, Q, kept):
+    """cm restricted to a Tietze reduction ``(Q, kept)`` of its base."""
     if Q is cm.base:
         return cm
     return CoverMap(Q, cm.deck, tuple(cm.assignment[g] for g in kept))

@@ -18,7 +18,7 @@ import struct
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from operator import add, eq, itemgetter, mul, neg
+from operator import add, eq, itemgetter, mul, neg, sub
 from types import MappingProxyType
 
 from .cyclotomic import character_evaluation, cyclotomic_norm, galois_orbits
@@ -576,11 +576,19 @@ def _dict_quotient(f, g):
     accepted only if packed g*q equals packed f at a slot width above
     bits(|g|_1 * |q|_inf), which holds every coefficient of g*q.  When the
     slots are too narrow for that (q outgrew them), or f is too large to
-    pack, long division decides."""
+    pack, long division decides.  A one-term g = c x^I divides f when c
+    divides each coefficient and each exponent is at least I; q is then f
+    shifted by -I, with no packing."""
     if not g:
         return None
     if not f:
         return {}
+    if len(g) == 1:
+        (gexp, c), = g.items()
+        if any(v % c for v in f.values()):
+            return None
+        q = {tuple(map(sub, e, gexp)): v // c for e, v in f.items()}
+        return q if min(map(min, q)) >= 0 else None
     fdeg, gdeg = _degrees(f), _degrees(g)
     if any(b > a for a, b in zip(fdeg, gdeg)):
         return None
@@ -616,8 +624,6 @@ def divide_exact(f, g):
         return None
     if f.is_zero():
         return LaurentPoly.zero(f.arity)
-    if g.is_unit():
-        return f * g ** -1
     flo, _ = f.exponent_range()
     glo, _ = g.exponent_range()
     q = _dict_quotient(_monic_shift(f), _monic_shift(g))
@@ -986,20 +992,21 @@ class _PolyParser(_Scanner):
         return base
 
     def atom(self):
+        negate = False
+        while self.eat("-"):  # a run of signs is counted, not recursed on
+            negate = not negate
         ch = self.peek()
         if ch == "(":
             self.open_bracket()
-            inner = self.expr()
+            atom = self.expr()
             self.close_bracket(")")
-            return inner
-        if ch == "-":
-            self.pos += 1
-            return -self.atom()
-        if "0" <= ch <= "9":
-            return LaurentPoly.constant(self.unsigned_integer(), self.arity)
-        if ch == "t":
-            return self.variable()
-        self.error("expected a term" if ch else "unexpected end of input")
+        elif "0" <= ch <= "9":
+            atom = LaurentPoly.constant(self.unsigned_integer(), self.arity)
+        elif ch == "t":
+            atom = self.variable()
+        else:
+            self.error("expected a term" if ch else "unexpected end of input")
+        return -atom if negate else atom
 
     def variable(self):
         self.pos += 1

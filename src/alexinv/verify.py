@@ -15,12 +15,12 @@ from . import corpus
 from .alexander import (AlexanderMatrix, characterize_b1_one, full_report,
                         levine_extend, order_zero_direct)
 from .covers import (DEFAULT_MAX_INDEX, CoverMap, DeckGroup, VerifyReport,
-                     _free_abelian_assignment, b1_ge_4_consistency,
-                     cover_homology, hironaka_predicted_betti,
-                     reidemeister_schreier, shalen_wagreich_check,
-                     tietze_reduced, verify_torsion_cover_formula)
+                     _free_abelian_assignment, _restricted,
+                     b1_ge_4_consistency, cover_homology,
+                     hironaka_predicted_betti, reidemeister_schreier,
+                     shalen_wagreich_check, verify_torsion_cover_formula)
 from .laurent import LaurentPoly, Symmetry, involution, normalize, trace
-from .presentation import abelianize
+from .presentation import abelianize, tietze_reduce
 
 
 # ----------------------------------------------------------------------
@@ -242,12 +242,13 @@ def run_hironaka(names=None, primes=None, max_index=DEFAULT_MAX_INDEX):
     reports = []
     for entry in _selected(names):
         ab = abelianize(entry.presentation)
+        reduction = tietze_reduce(entry.presentation)
         for tup in _prime_tuples(entry, ab.rank, names, primes,
                                  _cover_prime_tuples(ab.rank, max_index)):
             cm = CoverMap(entry.presentation, DeckGroup(tup),
                           _free_abelian_assignment(ab, tup))
             actual = cover_homology(reidemeister_schreier(
-                tietze_reduced(cm), max_index)).rank
+                _restricted(cm, *reduction), max_index)).rank
             predicted = hironaka_predicted_betti(entry.presentation, cm)
             reports.append(VerifyReport(
                 "hironaka",

@@ -104,6 +104,89 @@ class TestMinors:
             assert det(rows, arity) == want
         assert singleton >= 40 and block >= 40
 
+    def test_det_with_rows_left_stale(self):
+        """Rows whose pivot-column entry stays 0 for several steps, which
+        det brings up to date only when it reads them: block-triangular
+        matrices with a nonzero off-diagonal block, and Levine chains
+        diag(P, lambda_1, ..., lambda_k), with and without shuffled rows
+        and columns."""
+        rng = random.Random(47)
+        seen = Counter()
+        for case in range(160):
+            arity = rng.randint(1, 3)
+            zero = LaurentPoly.zero(arity)
+            if case % 2:
+                a, b = rng.randint(2, 3), rng.randint(1, 3)
+                A, B, X = (random_matrix(rng, r, c, arity).rows
+                           for r, c in ((a, a), (b, b), (a, b)))
+                if case % 4 == 1:  # [[A, X], [0, B]]
+                    rows = [list(r) + list(x) for r, x in zip(A, X)] \
+                        + [[zero] * a + list(r) for r in B]
+                else:  # [[A, 0], [X^T, B]]
+                    rows = [list(r) + [zero] * b for r in A] \
+                        + [list(x) + list(r) for x, r in zip(zip(*X), B)]
+                want = cofactor_det(A, arity) * cofactor_det(B, arity)
+                seen["upper" if case % 4 == 1 else "lower"] += 1
+            else:
+                m, k = rng.randint(1, 3), rng.randint(3, 6)
+                P = random_matrix(rng, m, m, arity)
+                lams = [random_symmetric_nonzero_trace(rng, arity, 2)
+                        for _ in range(k)]
+                rows = [list(r) for r in P.rows]
+                want = cofactor_det(rows, arity)
+                for lam in lams:
+                    P = levine_extend(P, lam)
+                    want = want * lam
+                rows = [list(r) for r in P.rows]
+                seen["chain"] += 1
+            n = len(rows)
+            if rng.random() < 0.5:
+                rperm, cperm = rng.sample(range(n), n), rng.sample(range(n), n)
+                rows = [[rows[i][j] for j in cperm] for i in rperm]
+                if permutation_sign(rperm) != permutation_sign(cperm):
+                    want = -want
+                seen["shuffled"] += 1
+            seen["singular"] += want.is_zero()
+            assert det(rows, arity) == want
+        assert seen["singular"] >= 3 and seen["shuffled"] >= 40, seen
+        assert min(seen[kind] for kind in ("upper", "lower", "chain")) >= 40
+
+    def test_det_reads_each_extension_once(self, monkeypatch):
+        """On diag(P, lambda_1, ..., lambda_k) a lambda row is read once,
+        as a pivot candidate, and brought up to date by one product with
+        no division: the Laurent products and exact divisions det makes
+        grow by exactly 1 and 0 per extension, where rescaling every row
+        at every step made them grow quadratically."""
+        calls = Counter()
+        real_mul = LaurentPoly.__mul__
+        real_divide = alexinv.alexander.divide_exact
+
+        def counting_mul(f, g):
+            calls["mul"] += 1
+            return real_mul(f, g)
+
+        def counting_divide(f, g):
+            calls["divide"] += 1
+            return real_divide(f, g)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+        monkeypatch.setattr(alexinv.alexander, "divide_exact", counting_divide)
+        for arity in (1, 2, 3):
+            rng = random.Random(arity)
+            P = random_matrix(rng, 3, 3, arity)
+            lams = [random_symmetric_nonzero_trace(rng, arity)
+                    for _ in range(8)]
+            counts = []
+            for k in range(1, 9):
+                A = P
+                for lam in lams[:k]:
+                    A = levine_extend(A, lam)
+                calls.clear()
+                det([list(r) for r in A.rows], arity)
+                counts.append((calls["mul"], calls["divide"]))
+            assert [(b[0] - a[0], b[1] - a[1])
+                    for a, b in zip(counts, counts[1:])] == [(1, 0)] * 7
+
     def test_det_zero_row_or_column_skips_elimination(self, monkeypatch):
         def refuse(f, g):
             raise AssertionError("divide_exact called on a singular matrix")

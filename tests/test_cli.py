@@ -167,6 +167,13 @@ class TestClassify:
                    "(at position %d)\n"
             % (sys.get_int_max_str_digits(), len(prefix)))
 
+    def test_long_run_of_unary_minus(self, capsys):
+        # an even run of signs in front of t, parsed without recursion
+        code, out, err = run(capsys, "classify", "2*" + "-" * 3000 + "t")
+        assert (code, err) == (0, "")
+        assert (out, json.loads(out)["poly"]) == (
+            run(capsys, "classify", "2*t")[1], "2*t")
+
     def test_zero_poly(self, capsys):
         code, _, err = run(capsys, "classify", "0")
         assert code == 1

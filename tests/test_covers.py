@@ -573,6 +573,20 @@ class TestOneAbelianization:
         assert calls == {"suite": len(entries()), "covers": len(reports)}
         assert (len(entries()), len(reports)) == (8, 54)
 
+    def test_hironaka_suite_reduces_each_base_once(self, monkeypatch):
+        """One Tietze reduction per corpus entry, where reducing the base
+        of each cover made 54, and the same reports."""
+        want = [r.as_dict() for r in run_hironaka()]
+        bases, real = [], presentation.tietze_reduce
+
+        def counting(P):
+            bases.append(P)
+            return real(P)
+        monkeypatch.setattr(alexinv.verify, "tietze_reduce", counting)
+        monkeypatch.setattr(presentation, "tietze_reduce", counting)
+        assert [r.as_dict() for r in run_hironaka()] == want
+        assert bases == [entry.presentation for entry in entries()]
+
 
 class TestReidemeisterSchreier:
     def test_free_group_cyclic_cover(self):

@@ -522,6 +522,37 @@ class TestPackedQuotient:
         assert divide_exact(g * q + 1, g) is None
         assert calls == [1]
 
+    def test_one_term_divisor_is_a_shift(self):
+        """A one-term divisor c x^I against long division: exact
+        quotients, a coefficient c does not divide, and a term below x^I."""
+        L = alexinv.laurent
+        rng = random.Random(29)
+        seen = Counter()
+        for case in range(300):
+            arity = rng.randint(1, 3)
+            c = rng.choice((1, -1)) * rng.randint(1, 4)
+            exps = tuple(rng.randint(0, 2) for _ in range(arity))
+            g = {exps: c}
+            q = L._monic_shift(random_poly(rng, arity=arity, span=2)
+                               or LaurentPoly.one(arity))
+            f = L._dict_mul(q, g)
+            kind = ("exact", "coefficient", "offset")[case % 3]
+            if kind == "coefficient" and abs(c) > 1:
+                e = rng.choice(list(f))
+                f[e] += rng.choice((1, -1))
+            elif kind == "offset" and any(exps):
+                i = rng.choice([i for i, x in enumerate(exps) if x])
+                e = tuple(x - (j == i) for j, x in enumerate(exps))
+                f = L._dict_sub(f, {e: c})
+            else:
+                kind = "exact"
+            got = L._dict_quotient(f, g)
+            assert got == L._dict_div_exact(f, g)
+            assert (got == q) if kind == "exact" else (got is None)
+            seen[kind] += 1
+            seen["c < 0"] += c < 0
+        assert min(seen.values()) >= 50, seen
+
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 3).flatmap(
@@ -549,6 +580,19 @@ class TestDivideExact:
                 continue
             q = divide_exact(f * g, g)
             assert q == f
+
+    def test_one_term_laurent_divisor(self):
+        """divide_exact by c x^I in the Laurent ring is a shift, with
+        exponents of either sign; c must divide every coefficient."""
+        x, y = two_vars()
+        f = 6 * x ** 3 * y ** -1 - 3 * y ** 2 + 9 * x ** -2
+        assert divide_exact(f, 3 * x ** -1 * y) == \
+            2 * x ** 4 * y ** -2 - x * y + 3 * x ** -1 * y ** -1
+        for g in (-3 * y ** 2, -x ** 4, x ** -2 * y ** -3, -y ** 5):
+            assert divide_exact(f, g) * g == f
+        assert divide_exact(f + 1, -y ** 5) * -y ** 5 == f + 1
+        assert divide_exact(f + 1, 3 * x) is None
+        assert divide_exact(f, -2 * y) is None
 
 
 class TestRootOfUnityNorm:
@@ -742,6 +786,22 @@ class TestParsePrint:
         # closed brackets no longer count
         assert parse_poly("+".join(["(t)"] * 1000), 1) == 1000 * t
         assert parse_poly("2*--(-t)", 1) == -2 * t
+
+    def test_long_runs_of_unary_minus(self):
+        # a run of signs is counted, not recursed on, spaces or not; after
+        # an operator it binds tighter than ^, while a leading run belongs
+        # to the expression and binds looser
+        assert parse_poly("2*" + "-" * 3000 + "t", 1) == 2 * t
+        assert parse_poly("2*" + "- " * 3001 + "t", 1) == -2 * t
+        assert parse_poly("-" * 5001 + "(t + 1)^2", 1) == -(t + 1) ** 2
+        assert parse_poly("2*-t^2", 1) == 2 * t ** 2
+        assert parse_poly("2 * - - -t^3 - -t", 1) == -2 * t ** 3 + t
+        with pytest.raises(ParseError) as err:
+            parse_poly("2*" + "-" * 3000, 1)
+        assert str(err.value) == "unexpected end of input (at position 3002)"
+        with pytest.raises(ParseError) as err:
+            parse_poly("2*- -)", 1)
+        assert str(err.value) == "expected a term (at position 5)"
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="int() has no digit limit")
