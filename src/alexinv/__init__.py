@@ -13,9 +13,9 @@ from .alexander import (AlexanderMatrix, AlexanderPolynomial, InvariantReport,
                         check_levine_hypotheses, elementary_minors,
                         full_report, levine_extend, order_zero_direct,
                         torsion_order_b1_one)
-from .covers import (Character, CoverIndexError, CoverMap, CoverPresentation,
-                     DeckGroup, b1_ge_4_consistency, char_rank,
-                     cover_homology, free_abelian_cover,
+from .covers import (Character, CoverBase, CoverIndexError, CoverMap,
+                     CoverPresentation, DeckGroup, b1_ge_4_consistency,
+                     char_rank, cover_homology, free_abelian_cover,
                      hironaka_predicted_betti, mod_p_betti, mod_p_cover,
                      reidemeister_schreier, shalen_wagreich_check,
                      verify_torsion_cover_formula)

@@ -6,8 +6,9 @@ Reidemeister-Schreier rewriting from a coset table over a breadth-first
 Schreier transversal.  The cover checks first restrict the map to a
 Tietze-reduced base (:func:`tietze_reduced`), so a generator that a
 relator solves for is eliminated once on the base rather than once per
-coset in the cover.  Character evaluations of Alexander matrices happen
-in exact cyclotomic arithmetic (:mod:`alexinv.cyclotomic`).
+coset in the cover, and a :class:`CoverBase` does the base's other work
+once for all its covers.  Characters are evaluated in exact cyclotomic
+arithmetic (:mod:`alexinv.cyclotomic`).
 """
 
 from __future__ import annotations
@@ -60,10 +61,8 @@ class DeckGroup:
         return product(*(range(p) for p in self.primes))
 
     def characters(self, nontrivial_only=False):
-        for exps in self.elements():
-            if nontrivial_only and not any(exps):
-                continue
-            yield Character(exps)
+        return (Character(exps) for exps in self.elements()
+                if any(exps) or not nontrivial_only)
 
     def character_orbits(self):
         """Galois orbits of the nontrivial characters, each once as
@@ -228,22 +227,20 @@ def mod_p_betti(P, p):
 
 
 def mod_p_cover(P, p):
-    """The canonical cover with deck group (F_p)^{d_p}: abelianization
-    reduced mod p, in the Smith basis that :func:`abelianize` fixes."""
-    assignment = _mod_p_assignment(abelianize(P), p)
-    return CoverMap(P, DeckGroup((p,) * len(assignment[0])), assignment)
-
-
-def _mod_p_assignment(ab, p):
-    """Generator images of the canonical mod-p cover: the d_p coordinates
-    of ``ab`` in each Z/d_i that p divides, then the free ones, mod p."""
+    """The canonical cover with deck group (F_p)^{d_p}: abelianization (the
+    Z/d_i that p divides, then the free part) reduced mod p, in the Smith
+    basis that :func:`abelianize` fixes."""
     if not is_prime(p):
         raise ValueError("%r is not prime" % (p,))
+    base = cover_base(P)
+    ab = base.abelianization
     keep = [k for k, d in enumerate(ab.torsion) if d % p == 0]
     if not keep and not ab.rank:
         raise ValueError("d_%d is 0; no mod-%d cover" % (p, p))
-    return tuple(tuple(t[k] % p for k in keep) + tuple(x % p for x in img)
-                 for t, img in zip(ab.torsion_images, ab.gen_images))
+    images = tuple(tuple(t[k] % p for k in keep) + tuple(x % p for x in img)
+                   for t, img in zip(ab.torsion_images, ab.gen_images))
+    return CoverMap(base.presentation,
+                    DeckGroup((p,) * (len(keep) + ab.rank)), images)
 
 
 def _free_abelian_assignment(ab, primes):
@@ -259,8 +256,39 @@ def _free_abelian_assignment(ab, primes):
 def free_abelian_cover(P, primes):
     """The cover below the universal free abelian cover determined by
     reducing the i-th free coordinate of H_1 mod primes[i]."""
-    return CoverMap(P, DeckGroup(tuple(primes)),
-                    _free_abelian_assignment(abelianize(P), primes))
+    base = cover_base(P)
+    return CoverMap(base.presentation, DeckGroup(tuple(primes)),
+                    _free_abelian_assignment(base.abelianization, primes))
+
+
+class CoverBase:
+    """A base P's work for the cover checks, done once: ``abelianization``
+    now; the Tietze ``reduction``, the unit-reduced Fox ``block`` (B, live)
+    and ``delta`` when read; ``fields``, the {m: field} its covers share."""
+
+    def __init__(self, P):
+        self.presentation, self.abelianization, self.fields = \
+            P, abelianize(P), {}
+
+    reduction = cached_property(
+        lambda self: pres.tietze_reduce(self.presentation))
+    delta = cached_property(lambda self: _relative_first_minors(
+        self.presentation, self.abelianization))
+
+    @cached_property
+    def block(self):
+        P, ab = self.presentation, self.abelianization
+        B, live = unit_reduce(pres.fox_matrix(P, ab), P.num_generators,
+                              ab.rank)
+        return AlexanderMatrix.from_rows(B, ab.rank, len(live)), live
+
+
+def cover_base(P, cm=None):
+    """P as a :class:`CoverBase`; a cover map cm must be a map of it."""
+    base = P if isinstance(P, CoverBase) else CoverBase(P)
+    if cm is not None and cm.base != base.presentation:
+        raise ValueError("the cover map is a map of another base")
+    return base
 
 
 def tietze_reduced(cm):
@@ -292,7 +320,7 @@ def reidemeister_schreier(cm, max_index=DEFAULT_MAX_INDEX):
     rewritten relators remain.  Each coset keeps only the (parent,
     generator) pair of its tree edge, so time and memory are linear in
     |deck|*(n + the relators' length).  The base is rewritten as given:
-    the cover checks pass :func:`tietze_reduced` maps.
+    the cover checks pass maps restricted to a Tietze-reduced base.
 
     ``Presentation``'s checks hold by construction and are skipped: names
     ``<base>_<coset>`` are valid and unique, as base names are and the
@@ -356,18 +384,18 @@ def hironaka_predicted_betti(P, cm):
     as rank P(chi) = k + rank B(chi): the cleared pivots +-t^I evaluate to
     roots of unity, so the row operations stay invertible and the pivot
     rows unit-triangular at every chi.  Only B is made dense.  The
-    characters share one field per order for the whole call.
+    characters share one field per order, for every cover of one base.
     """
-    ab = abelianize(P)
+    base = cover_base(P, cm)
+    ab = base.abelianization
     if cm.assignment != _free_abelian_assignment(ab, cm.deck.primes):
         raise ValueError("cover does not lie below the universal free "
                          "abelian cover in the Smith basis")
-    B, live = unit_reduce(pres.fox_matrix(P, ab), P.num_generators, ab.rank)
-    fields, n = {}, len(live) - 1
-    if not B:  # rank P(chi) = k at every character: no field needed
+    B, live = base.block
+    n = len(live) - 1
+    if not B.rows:  # rank P(chi) = k at every character: no field needed
         return ab.rank + max(0, n) * (cm.deck.order - 1)
-    B = AlexanderMatrix.from_rows(B, ab.rank, len(live))
-    total = sum(size * max(0, n - char_rank(B, chi, cm.deck, fields))
+    total = sum(size * max(0, n - char_rank(B, chi, cm.deck, base.fields))
                 for chi, size in cm.deck.character_orbits())
     return ab.rank + total
 
@@ -402,16 +430,15 @@ def verify_torsion_cover_formula(P, primes, max_index=DEFAULT_MAX_INDEX):
     polynomial has a zero at such a root-of-unity tuple); that is reported
     as ``hypothesis_violated`` rather than a mismatch.
     """
-    primes = tuple(primes)
-    ab = abelianize(P)
-    delta = _relative_first_minors(P, ab)
-    if delta.poly.arity != len(primes):
+    base, primes = cover_base(P), tuple(primes)
+    if base.delta.poly.arity != len(primes):
         raise ValueError("need one prime per variable of the polynomial")
-    cm = CoverMap(P, DeckGroup(primes), _free_abelian_assignment(ab, primes))
-    hom = cover_homology(reidemeister_schreier(tietze_reduced(cm), max_index))
+    cm = free_abelian_cover(base, primes)
+    hom = cover_homology(reidemeister_schreier(
+        _restricted(cm, *base.reduction), max_index))
     lhs = hom.torsion_order
-    signed = root_of_unity_norm(delta.poly, primes)
-    inputs = {"primes": list(primes), "delta": str(delta),
+    signed = root_of_unity_norm(base.delta.poly, primes)
+    inputs = {"primes": list(primes), "delta": str(base.delta),
               "cover_b1": hom.rank}
     if signed == 0:
         return VerifyReport("torsion-cover", inputs, lhs, 0,
@@ -425,12 +452,11 @@ def shalen_wagreich_check(P, p, max_index=DEFAULT_MAX_INDEX):
     """d_p of the canonical mod-p cover, from RS on the Tietze-reduced
     base, must be at least binom(r, 2) where r = d_p of the base, the
     length of each generator image of that cover."""
-    ab = abelianize(P)
-    assignment = _mod_p_assignment(ab, p)
-    r = len(assignment[0])
-    cm = CoverMap(P, DeckGroup((p,) * r), assignment)
-    d_cover = mod_p_betti(reidemeister_schreier(tietze_reduced(cm),
-                                                max_index), p)
+    base = cover_base(P)
+    ab, cm = base.abelianization, mod_p_cover(base, p)
+    r = len(cm.deck.primes)
+    d_cover = mod_p_betti(reidemeister_schreier(
+        _restricted(cm, *base.reduction), max_index), p)
     bound = comb(r, 2)
     inputs = {"p": p, "r": r, "cover_index": cm.deck.order,
               # when p divides |Tor H_1|, d_p exceeds b_1 and the Betti

@@ -896,22 +896,22 @@ def format_poly(f):
     order from largest to smallest.  The zero polynomial prints as "0"."""
     if f.is_zero():
         return "0"
-    names = _var_names(f.arity)
+    names, one = _var_names(f.arity), f.arity == 1
     pieces = []
     for exps in sorted(f.terms, reverse=True):
         coeff = f.terms[exps]
-        vars_part = "*".join(
-            name if e == 1 else "%s^%d" % (name, e)
-            for name, e in zip(names, exps) if e != 0)
+        if one:  # one name: no join, so no list or generator, per term
+            e, = exps
+            vars_part = "" if not e else "t" if e == 1 else "t^%d" % e
+        else:  # join reads a list faster than a generator
+            vars_part = "*".join([
+                name if e == 1 else "%s^%d" % (name, e)
+                for name, e in zip(names, exps) if e])
         mag = abs(coeff)
-        if vars_part:
-            body = vars_part if mag == 1 else "%d*%s" % (mag, vars_part)
-        else:
-            body = str(mag)
-        if not pieces:
-            pieces.append(body if coeff > 0 else "-" + body)
-        else:
-            pieces.append(("+ " if coeff > 0 else "- ") + body)
+        body = (vars_part if mag == 1 else "%d*%s" % (mag, vars_part)) \
+            if vars_part else str(mag)
+        pieces.append(("+ " if coeff > 0 else "- ") + body)
+    pieces[0] = pieces[0][2:] if pieces[0][0] == "+" else "-" + pieces[0][2:]
     return " ".join(pieces)
 
 

@@ -14,13 +14,12 @@ from math import prod
 from . import corpus
 from .alexander import (AlexanderMatrix, characterize_b1_one, full_report,
                         levine_extend, order_zero_direct)
-from .covers import (DEFAULT_MAX_INDEX, CoverMap, DeckGroup, VerifyReport,
-                     _free_abelian_assignment, _restricted,
-                     b1_ge_4_consistency, cover_homology,
+from .covers import (DEFAULT_MAX_INDEX, CoverBase, VerifyReport, _restricted,
+                     b1_ge_4_consistency, cover_homology, free_abelian_cover,
                      hironaka_predicted_betti, reidemeister_schreier,
                      shalen_wagreich_check, verify_torsion_cover_formula)
 from .laurent import LaurentPoly, Symmetry, involution, normalize, trace
-from .presentation import abelianize, tietze_reduce
+from .presentation import abelianize
 
 
 # ----------------------------------------------------------------------
@@ -207,12 +206,12 @@ def run_torsion_cover(names=None, primes=None, max_index=DEFAULT_MAX_INDEX):
     """
     reports = []
     for entry in _selected(names):
-        b1 = abelianize(entry.presentation).rank
+        base = CoverBase(entry.presentation)
+        b1 = base.abelianization.rank
         defaults = [(p,) * b1 for p in (2, 3) if p ** b1 <= max_index
                     and (names is not None or b1 == 1)]
         for tup in _prime_tuples(entry, b1, names, primes, defaults):
-            report = verify_torsion_cover_formula(entry.presentation, tup,
-                                                  max_index)
+            report = verify_torsion_cover_formula(base, tup, max_index)
             report.inputs["name"] = entry.name
             reports.append(report)
     return reports
@@ -222,8 +221,9 @@ def run_shalen_wagreich(names=None, primes=(2, 3),
                         max_index=DEFAULT_MAX_INDEX):
     reports = []
     for entry in _selected(names):
+        base = CoverBase(entry.presentation)
         for p in primes:
-            rep = shalen_wagreich_check(entry.presentation, p, max_index)
+            rep = shalen_wagreich_check(base, p, max_index)
             rep.inputs["name"] = entry.name
             reports.append(rep)
     return reports
@@ -238,18 +238,17 @@ def run_hironaka(names=None, primes=None, max_index=DEFAULT_MAX_INDEX):
     """The character-rank prediction of the cover's first Betti number must
     match the rank computed from the Reidemeister-Schreier presentation
     over the Tietze-reduced base, for every corpus cover within the index
-    limit, or the requested one."""
+    limit, or the requested one, with one base per entry."""
     reports = []
     for entry in _selected(names):
-        ab = abelianize(entry.presentation)
-        reduction = tietze_reduce(entry.presentation)
+        base = CoverBase(entry.presentation)
+        ab = base.abelianization
         for tup in _prime_tuples(entry, ab.rank, names, primes,
                                  _cover_prime_tuples(ab.rank, max_index)):
-            cm = CoverMap(entry.presentation, DeckGroup(tup),
-                          _free_abelian_assignment(ab, tup))
+            cm = free_abelian_cover(base, tup)
             actual = cover_homology(reidemeister_schreier(
-                _restricted(cm, *reduction), max_index)).rank
-            predicted = hironaka_predicted_betti(entry.presentation, cm)
+                _restricted(cm, *base.reduction), max_index)).rank
+            predicted = hironaka_predicted_betti(base, cm)
             reports.append(VerifyReport(
                 "hironaka",
                 {"name": entry.name, "primes": list(tup)},

@@ -11,7 +11,8 @@ one-variable polynomials from a palindrome test on dense coefficient
 lists, root-of-unity norms from a product in the group ring,
 inverses and norms in Q(zeta_m) from a Euclid over Q in Fractions,
 Reidemeister-Schreier rewriting by stepping a coset tuple per letter,
-Kronecker packing slot by slot, symmetry classes from the involution and
+Kronecker packing slot by slot, printed polynomials from one join per
+term, symmetry classes from the involution and
 one shifted copy of the polynomial, presentations from a character-level
 parser that tries every generator name at each letter, and Fox
 derivatives in the free group ring itself, before abelianization.  The
@@ -591,6 +592,32 @@ def assert_well_formed(f):
                and all(type(x) is int for x in e) for e in f.terms)
     assert all(f.terms.values())
     assert f == LaurentPoly(f.arity, dict(f.terms))
+
+
+def format_poly_oracle(f):
+    """``laurent.format_poly`` as one loop for every arity: each term's
+    monomial is a join of its variable powers, and the first term's sign
+    is chosen as it is appended."""
+    if f.is_zero():
+        return "0"
+    names = ["t"] if f.arity == 1 else ["t%d" % (i + 1)
+                                        for i in range(f.arity)]
+    pieces = []
+    for exps in sorted(f.terms, reverse=True):
+        coeff = f.terms[exps]
+        vars_part = "*".join(
+            name if e == 1 else "%s^%d" % (name, e)
+            for name, e in zip(names, exps) if e != 0)
+        mag = abs(coeff)
+        if vars_part:
+            body = vars_part if mag == 1 else "%d*%s" % (mag, vars_part)
+        else:
+            body = str(mag)
+        if not pieces:
+            pieces.append(body if coeff > 0 else "-" + body)
+        else:
+            pieces.append(("+ " if coeff > 0 else "- ") + body)
+    return " ".join(pieces)
 
 
 def pack_per_term(f, strides, nslots, width):

@@ -13,19 +13,21 @@ import alexinv.verify
 from alexinv import presentation
 from alexinv.alexander import AlexanderMatrix, unit_reduce
 from alexinv.corpus import entries, get, mapping_torus
-from alexinv.covers import (Character, CoverIndexError, CoverMap, DeckGroup,
-                            b1_ge_4_consistency, char_rank, cover_homology,
-                            free_abelian_cover, hironaka_predicted_betti,
-                            is_prime, mod_p_betti, mod_p_cover,
-                            reidemeister_schreier, shalen_wagreich_check,
-                            tietze_reduced, verify_torsion_cover_formula)
+from alexinv.covers import (Character, CoverBase, CoverIndexError, CoverMap,
+                            DeckGroup, b1_ge_4_consistency, char_rank,
+                            cover_base, cover_homology, free_abelian_cover,
+                            hironaka_predicted_betti, is_prime, mod_p_betti,
+                            mod_p_cover, reidemeister_schreier,
+                            shalen_wagreich_check, tietze_reduced,
+                            verify_torsion_cover_formula)
 from alexinv.cyclotomic import (CyclotomicField, bareiss_rank,
                                 cyclotomic_norm, cyclotomic_polynomial,
                                 galois_orbits)
 from alexinv.laurent import LaurentPoly, parse_poly
 from alexinv.presentation import (Presentation, abelianize, fox_matrix,
                                   inverse_word, parse_presentation)
-from alexinv.verify import _cover_prime_tuples, random_matrix, run_hironaka
+from alexinv.verify import (_cover_prime_tuples, random_matrix, run_hironaka,
+                            run_shalen_wagreich, run_torsion_cover)
 from conftest import (dense_fox_matrix, dense_mod_p_cover, fraction_euclid,
                       int_det, mat_pow, product_galois_orbits,
                       random_power_presentation, root_power, tuple_step_rs)
@@ -556,9 +558,10 @@ class TestOneAbelianization:
         assert calls == [P]
 
     def test_hironaka_suite(self, monkeypatch):
-        """The default hironaka suite abelianizes each base once for its
-        covers, and ``hironaka_predicted_betti`` once per report: 8 + 54
-        calls, where a ``free_abelian_cover`` per report made 8 + 54 + 54."""
+        """The default hironaka suite abelianizes each base once, in the
+        :class:`CoverBase` its 54 reports share: 8 calls, where one more
+        in ``hironaka_predicted_betti`` per report made 8 + 54, and a
+        ``free_abelian_cover`` per report 8 + 54 + 54."""
         calls = Counter()
 
         def counting(where):
@@ -570,7 +573,7 @@ class TestOneAbelianization:
         monkeypatch.setattr(alexinv.covers, "abelianize", counting("covers"))
         reports = run_hironaka()
         assert all(r.ok for r in reports)
-        assert calls == {"suite": len(entries()), "covers": len(reports)}
+        assert calls == {"covers": len(entries())}
         assert (len(entries()), len(reports)) == (8, 54)
 
     def test_hironaka_suite_reduces_each_base_once(self, monkeypatch):
@@ -582,10 +585,109 @@ class TestOneAbelianization:
         def counting(P):
             bases.append(P)
             return real(P)
-        monkeypatch.setattr(alexinv.verify, "tietze_reduce", counting)
         monkeypatch.setattr(presentation, "tietze_reduce", counting)
         assert [r.as_dict() for r in run_hironaka()] == want
         assert bases == [entry.presentation for entry in entries()]
+
+
+def default_tuples(rank):
+    """Every default prime tuple of the three cover suites at max index
+    256, for a base of first Betti number rank: the hironaka tuples, and
+    the torsion-cover and shalen-wagreich (p,)-powers for p = 2, 3."""
+    return {"hironaka": _cover_prime_tuples(rank, 256),
+            "torsion": [(p,) * rank for p in (2, 3) if p ** rank <= 256],
+            "shalen": [2, 3]}
+
+
+class TestCoverBase:
+    """The cover checks on one shared :class:`CoverBase` per base give
+    what they give on the presentation, and build its work once."""
+
+    @staticmethod
+    def reports(base, tuples):
+        out = [hironaka_predicted_betti(base, free_abelian_cover(
+            cover_base(base).presentation, tup))
+            for tup in tuples["hironaka"]]
+        out += [verify_torsion_cover_formula(base, tup).as_dict()
+                for tup in tuples["torsion"]]
+        out += [shalen_wagreich_check(base, p).as_dict()
+                for p in tuples["shalen"]]
+        return out
+
+    def test_same_reports_as_the_presentation(self):
+        count = 0
+        for entry in entries():
+            P = entry.presentation
+            tuples = default_tuples(abelianize(P).rank)
+            base = CoverBase(P)
+            assert cover_base(base) is base and cover_base(P) is not base
+            want = self.reports(P, tuples)
+            assert self.reports(base, tuples) == want
+            count += len(want)
+            if entry.name == "t3":  # every cover's orbits filled one dict
+                assert set(base.fields) == {2, 3, 5, 6, 10, 15, 30}
+        assert count == 54 + 16 + 16
+
+    def test_hironaka_tuples_reversed(self, monkeypatch):
+        """The field memos one base's covers share change no prediction:
+        each base's tuples run in reverse give the same reports."""
+        want = run_hironaka()
+        real = alexinv.verify._cover_prime_tuples
+        monkeypatch.setattr(alexinv.verify, "_cover_prime_tuples",
+                            lambda *args: real(*args)[::-1])
+        got = run_hironaka()
+        assert got != want
+
+        def row(r):
+            return r.inputs["name"], r.inputs["primes"], r.lhs, r.rhs, r.status
+        assert sorted(map(row, got)) == sorted(map(row, want))
+
+    def test_base_work_once_per_entry(self, monkeypatch):
+        """run_hironaka builds each entry's Fox matrix, unit reduction and
+        Tietze reduction once, and each of the three cover suites its
+        abelianization once: where a check built them per cover, the
+        default hironaka suite made 54 Fox matrices and unit reductions
+        and 62 abelianizations."""
+        calls = Counter()
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def spy(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, spy)
+        for module, name in ((presentation, "fox_matrix"),
+                             (alexinv.covers, "unit_reduce"),
+                             (presentation, "tietze_reduce"),
+                             (alexinv.covers, "abelianize"),
+                             (alexinv.verify, "abelianize")):
+            counting(module, name)
+        n = len(entries())
+        assert len(run_hironaka()) == 54
+        assert calls == {"fox_matrix": n, "unit_reduce": n,
+                         "tietze_reduce": n, "abelianize": n}
+        for suite in (run_torsion_cover, run_shalen_wagreich):
+            calls.clear()
+            assert all(r.ok for r in suite())
+            assert calls["abelianize"] == n
+
+    def test_cover_map_of_another_base(self):
+        """A cover map is checked against its own base: the fibred
+        mapping torus's map at p = 5 has the same generator images as
+        mapping-torus-A's, and was answered from A's Fox matrix."""
+        A = get("mapping-torus-A").presentation
+        fib = get("mapping-torus-fib").presentation
+        cm = free_abelian_cover(fib, (5,))
+        assert cm.assignment == free_abelian_cover(A, (5,)).assignment
+        for P in (A, CoverBase(A)):
+            with pytest.raises(ValueError, match="another base"):
+                hironaka_predicted_betti(P, cm)
+        # an equal presentation that is another object is the same base
+        same = parse_presentation(str(fib))
+        assert same is not fib
+        assert hironaka_predicted_betti(same, cm) == \
+            hironaka_predicted_betti(CoverBase(fib), cm) == 1
 
 
 class TestReidemeisterSchreier:
@@ -1394,7 +1496,7 @@ class TestShalenWagreich:
             P = entry.presentation
             r = mod_p_betti(P, p)
             assert r >= 1
-            images = alexinv.covers._mod_p_assignment(abelianize(P), p)
+            images = mod_p_cover(P, p).assignment
             assert {len(img) for img in images} == {r}
             if p ** r <= 256:
                 assert shalen_wagreich_check(P, p).inputs["r"] == r

@@ -11,13 +11,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import alexinv.laurent
+from alexinv import alexander_polynomial, parse_presentation
 from alexinv.laurent import (LaurentPoly, MonomialUnit, ParseError, Symmetry,
                              classify_symmetry, divide_exact, format_poly,
                              gcd, gcd_list, involution, normalize, parse_poly,
                              root_of_unity_norm, trace)
 from conftest import (assert_well_formed, classify_symmetry_oracle,
-                      group_ring_norm, int_det, mat_pow, pack_per_term,
-                      prs_fallbacks, unit_quotient)
+                      format_poly_oracle, group_ring_norm, int_det, mat_pow,
+                      pack_per_term, prs_fallbacks, unit_quotient)
 
 t = LaurentPoly.variable(0, 1)
 
@@ -747,6 +748,30 @@ class TestParsePrint:
     @given(laurent_polys())
     def test_roundtrip_property(self, f):
         assert parse_poly(format_poly(f), f.arity) == f
+
+    def test_format_matches_oracle(self):
+        """Seeded polynomials in one to three variables, with exponents 0,
+        +-1 and larger, coefficients +-1 and larger, and a lone constant."""
+        rng = random.Random(30)
+        count = Counter()
+        for _ in range(600):
+            arity = rng.randint(1, 3)
+            f = random_poly(rng, arity=arity, span=rng.choice((1, 3, 40)),
+                            terms=rng.randint(1, 8))
+            assert format_poly(f) == format_poly_oracle(f)
+            count[arity] += 1
+        assert min(count.values()) >= 150
+        for f in (LaurentPoly.zero(2), LaurentPoly.constant(-7, 1),
+                  -t, t ** -1 - 1, LaurentPoly.constant(1, 3)):
+            assert format_poly(f) == format_poly_oracle(f)
+
+    def test_format_long_delta(self):
+        """The 64,001-term Delta of <x, y | x^64001*y^2>, whose printing
+        took longer than its computation with a join per term."""
+        delta = alexander_polynomial(
+            parse_presentation("<x, y | x^64001*y^2>")).poly
+        assert len(delta.terms) == 64001
+        assert format_poly(delta) == format_poly_oracle(delta)
 
     def test_parens_and_powers(self):
         assert parse_poly("(t - 1)^2", 1) == t ** 2 - 2 * t + 1
