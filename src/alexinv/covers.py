@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, product
-from math import comb, prod
+from math import comb, inf, prod
 
 from . import presentation as pres
 from .alexander import AlexanderMatrix, _relative_first_minors, unit_reduce
@@ -114,6 +114,14 @@ class CoverMap:
                 raise ValueError("assignment is not surjective onto the "
                                  "deck group")
 
+    @classmethod
+    def _own(cls, base, deck, assignment):
+        """Trusted parts, unchecked: images read off H_1, or restricted to a
+        Tietze reduction, kill every relator and span the deck group."""
+        self = object.__new__(cls)
+        self.__dict__.update(base=base, deck=deck, assignment=assignment)
+        return self
+
     def image_of_word(self, word):
         out = [0] * len(self.deck.primes)
         for g, s in word:
@@ -188,8 +196,7 @@ class CoverPresentation:
         act, back, schreier, _ = self._tables
         for g, s in word:
             if s > 0:
-                k = schreier[c][g]
-                c = act[g][c]
+                k, c = schreier[c][g], act[g][c]
             else:
                 c = back[g][c]
                 k = schreier[c][g]
@@ -213,9 +220,23 @@ class CoverPresentation:
             tuple(map(tuple, self._words())))
 
     def exponent_rows(self):
-        """``presentation.exponent_rows()``, equal row for row, summed
-        from the same letters with no word built."""
-        return pres._exponent_rows(self._words())
+        """``presentation.exponent_rows()``, equal row for row: summed over
+        the tables as each relator is walked from each coset."""
+        cm, rows = self.cover_map, []
+        if cm.base.relators:  # a relator-free base builds no table
+            act, back, schreier, _ = self._tables
+        for c, rel in product(range(cm.deck.order), cm.base.relators):
+            row = {}
+            for g, s in rel:
+                if s > 0:
+                    k, c = schreier[c][g], act[g][c]
+                else:
+                    c = back[g][c]
+                    k = schreier[c][g]
+                if k is not None:
+                    row[k] = row.get(k, 0) + s
+            rows.append(row)
+        return rows
 
 
 def mod_p_betti(P, p):
@@ -226,21 +247,24 @@ def mod_p_betti(P, p):
     return P.num_generators - mod_p_rank(P.exponent_rows(), p)
 
 
-def mod_p_cover(P, p):
+def mod_p_cover(P, p, max_index=inf):
     """The canonical cover with deck group (F_p)^{d_p}: abelianization (the
     Z/d_i that p divides, then the free part) reduced mod p, in the Smith
-    basis that :func:`abelianize` fixes."""
-    if not is_prime(p):
-        raise ValueError("%r is not prime" % (p,))
+    basis that :func:`abelianize` fixes.  An index p^{d_p} over max_index
+    is refused first: trial division of a huge p would not end."""
     base = cover_base(P)
     ab = base.abelianization
-    keep = [k for k, d in enumerate(ab.torsion) if d % p == 0]
+    keep = [k for k, d in enumerate(ab.torsion) if p > 1 and d % p == 0]
+    if p > 1:
+        _check_index(p ** (len(keep) + ab.rank), max_index)
+    if not is_prime(p):
+        raise ValueError("%r is not prime" % (p,))
     if not keep and not ab.rank:
         raise ValueError("d_%d is 0; no mod-%d cover" % (p, p))
     images = tuple(tuple(t[k] % p for k in keep) + tuple(x % p for x in img)
                    for t, img in zip(ab.torsion_images, ab.gen_images))
-    return CoverMap(base.presentation,
-                    DeckGroup((p,) * (len(keep) + ab.rank)), images)
+    return CoverMap._own(base.presentation,
+                         DeckGroup((p,) * (len(keep) + ab.rank)), images)
 
 
 def _free_abelian_assignment(ab, primes):
@@ -253,12 +277,15 @@ def _free_abelian_assignment(ab, primes):
                  for img in ab.gen_images)
 
 
-def free_abelian_cover(P, primes):
+def free_abelian_cover(P, primes, max_index=inf):
     """The cover below the universal free abelian cover determined by
-    reducing the i-th free coordinate of H_1 mod primes[i]."""
+    reducing the i-th free coordinate of H_1 mod primes[i], of index at
+    most max_index, which is checked before the primes are."""
     base = cover_base(P)
-    return CoverMap(base.presentation, DeckGroup(tuple(primes)),
-                    _free_abelian_assignment(base.abelianization, primes))
+    _check_index(prod(primes), max_index)
+    return CoverMap._own(base.presentation, DeckGroup(tuple(primes)),
+                         _free_abelian_assignment(base.abelianization,
+                                                  primes))
 
 
 class CoverBase:
@@ -304,7 +331,7 @@ def _restricted(cm, Q, kept):
     """cm restricted to a Tietze reduction ``(Q, kept)`` of its base."""
     if Q is cm.base:
         return cm
-    return CoverMap(Q, cm.deck, tuple(cm.assignment[g] for g in kept))
+    return CoverMap._own(Q, cm.deck, tuple(cm.assignment[g] for g in kept))
 
 
 def reidemeister_schreier(cm, max_index=DEFAULT_MAX_INDEX):
@@ -328,9 +355,13 @@ def reidemeister_schreier(cm, max_index=DEFAULT_MAX_INDEX):
     would be one Schreier edge out and back around a closed walk in the
     tree, which backtracks unless empty, so the base relator would cancel.
     """
-    if cm.deck.order > max_index:
-        raise CoverIndexError(cm.deck.order, max_index)
+    _check_index(cm.deck.order, max_index)
     return CoverPresentation(cm)
+
+
+def _check_index(order, max_index):
+    if order > max_index:
+        raise CoverIndexError(order, max_index)
 
 
 def cover_homology(cp):
@@ -433,7 +464,7 @@ def verify_torsion_cover_formula(P, primes, max_index=DEFAULT_MAX_INDEX):
     base, primes = cover_base(P), tuple(primes)
     if base.delta.poly.arity != len(primes):
         raise ValueError("need one prime per variable of the polynomial")
-    cm = free_abelian_cover(base, primes)
+    cm = free_abelian_cover(base, primes, max_index)
     hom = cover_homology(reidemeister_schreier(
         _restricted(cm, *base.reduction), max_index))
     lhs = hom.torsion_order
@@ -453,7 +484,7 @@ def shalen_wagreich_check(P, p, max_index=DEFAULT_MAX_INDEX):
     base, must be at least binom(r, 2) where r = d_p of the base, the
     length of each generator image of that cover."""
     base = cover_base(P)
-    ab, cm = base.abelianization, mod_p_cover(base, p)
+    ab, cm = base.abelianization, mod_p_cover(base, p, max_index)
     r = len(cm.deck.primes)
     d_cover = mod_p_betti(reidemeister_schreier(
         _restricted(cm, *base.reduction), max_index), p)

@@ -112,14 +112,16 @@ def _prem(f, g):
     return r[:n], q
 
 
-def _subresultant(m, a, cofactor):
-    """Subresultant sequence over Z of Phi_m and the integer list a, reduced
-    mod Phi_m and made primitive (Cohen, A Course in Computational Algebraic
-    Number Theory, Alg. 3.3.7); Phi_m is irreducible, so it ends in a
-    constant c unless a = 0 mod Phi_m.  With ``cofactor`` it returns (s, c)
-    in lowest terms, c > 0, s*a = c mod Phi_m (ZeroDivisionError for a = 0);
-    otherwise Res(Phi_m, a) = Res(Phi_m, a mod Phi_m), as Phi_m is monic."""
-    g = _fold(list(a), m)
+def _subresultant(f, a, cofactor):
+    """Subresultant sequence over Z of the integer lists f and a, deg a <
+    deg f, a made primitive (Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 3.3.7); an integer f = m stands for Phi_m, monic,
+    and a is reduced mod Phi_m.  With ``cofactor``, f irreducible, it
+    returns (s, c) in lowest terms, c > 0, s*a = c mod f, s of length deg
+    f (ZeroDivisionError for a = 0); otherwise Res(f, a)."""
+    if isinstance(f, int):
+        f, a = cyclotomic_polynomial(f), _fold(list(a), f)
+    n, g = len(f) - 1, list(a)
     while g and not g[-1]:
         g.pop()
     if not g:
@@ -128,8 +130,7 @@ def _subresultant(m, a, cofactor):
         return 0
     content = gcd(*g)
     g = [x // content for x in g]
-    f = cyclotomic_polynomial(m)
-    u0, u1 = [], [1]  # u * (a / content) = the sequence member, mod Phi_m
+    u0, u1 = [], [1]  # u * (a / content) = the sequence member, mod f
     t, lead, h = content ** (len(f) - 1), 1, 1  # t gathers content, signs
     while len(g) > 1:
         delta = len(f) - len(g)
@@ -149,10 +150,12 @@ def _subresultant(m, a, cofactor):
         lead = f[-1]
         h, = _divexact([lead ** delta], h ** (delta - 1),
                        "subresultant division")
-    if cofactor:
-        s, c = _fold(u1, m), content * g[0]
+    if cofactor:  # deg s <= n - deg f < n, f the last but one member
+        s, c = (u1 + [0] * n)[:n], content * g[0]
         common = gcd(c, *s) if c > 0 else -gcd(c, *s)
         return tuple(x // common for x in s), c // common
+    if not g:  # a common factor
+        return 0
     norm, = _divexact([t * g[0] ** (len(f) - 1)], h ** (len(f) - 2),
                       "resultant")
     return norm

@@ -21,7 +21,8 @@ from enum import Enum
 from operator import add, eq, itemgetter, mul, neg, sub
 from types import MappingProxyType
 
-from .cyclotomic import character_evaluation, cyclotomic_norm, galois_orbits
+from .cyclotomic import (_divexact, _prem, _subresultant, character_evaluation,
+                         cyclotomic_norm, galois_orbits)
 
 
 class ParseError(ValueError):
@@ -854,6 +855,11 @@ def is_prime(p):
     return True
 
 
+# Past this degree the norm by powering can lose to the orbit product: its
+# resultant's numbers are d times the norm's size (measured, p = 31..16007).
+POWER_MAX_DEGREE = 8
+
+
 def root_of_unity_norm(f, primes):
     """Exact integer product of f over all tuples of p_i-th roots of unity.
 
@@ -861,8 +867,10 @@ def root_of_unity_norm(f, primes):
     with rho_i a primitive p_i-th root of unity.  The tuples fall into
     Galois orbits of characters, and the product over an orbit of order m
     is the norm from Q(zeta_m) to Q of f at its representative, an integer
-    computed as a resultant against the cyclotomic polynomial.  A zero
-    return value is legitimate (f vanished at some root-of-unity tuple).
+    computed as a resultant against the cyclotomic polynomial; a Laurent
+    polynomial in one variable of low degree span is powered instead
+    (:func:`_norm_by_powering`).  A zero return value is legitimate (f
+    vanished at some root-of-unity tuple).
     """
     if f.arity != len(primes):
         raise ValueError("need one prime per variable (arity %d, got %d primes)"
@@ -871,12 +879,43 @@ def root_of_unity_norm(f, primes):
         # the characters of Z/p have order 1 or p only for prime p
         if not is_prime(p):
             raise ValueError("%r is not prime" % (p,))
+    if f.arity == 1 and 0 < f.degree_span() <= POWER_MAX_DEGREE:
+        return _norm_by_powering(f, primes[0])
     norm = 1
     for exps, m, _ in galois_orbits(primes):
         norm *= cyclotomic_norm(
             character_evaluation(primes, exps, m)(f.terms), m)
         if not norm:
             return 0
+    return norm
+
+
+def _norm_by_powering(f, p):
+    """prod f(zeta) over zeta^p = 1 for f = t^a g, g in Z[t] with
+    g(0) != 0, of degree d >= 1 and leading coefficient c: the zeta^a give
+    (-1)^(a(p+1)), and Res(t^p - 1, g) = (-1)^(pd) c^p prod (beta^p - 1)
+    over the roots beta of g.  Powering by pseudo-remainders gives S t^p =
+    r mod g, S a power of c, so that product is the exact quotient
+    Res(g, r - S) / (c^deg(r - S) S^d)."""
+    (a,), (b,) = f.exponent_range()
+    g = [f.terms.get((e,), 0) for e in range(a, b + 1)]
+    d, c = len(g) - 1, g[-1]
+    sign = (-1) ** ((a * (p + 1) + p * d) % 2)
+    S, r = 1, [1]  # S t^e = r mod g for e the bits of p read so far
+    for bit in map(int, bin(p)[2:]):  # r <- r^2 t^bit, reduced
+        square = [0] * (2 * len(r) - 1 + bit)
+        for i, x in enumerate(r):
+            for j, y in enumerate(r, i + bit):
+                square[j] += x * y
+        S *= S
+        if len(square) > d:
+            S *= c ** (len(square) - d)
+            square = _prem(square, g)[0]
+        r = square
+    r[0] -= S
+    deg = max((i for i, x in enumerate(r) if x), default=0)
+    norm, = _divexact([sign * c ** p * _subresultant(g, r, False)],
+                      c ** deg * S ** d, "norm by powering")
     return norm
 
 

@@ -133,22 +133,16 @@ class Presentation:
         return "<%s | %s>" % (gens, rels)
 
     def exponent_rows(self):
-        """The image of each relator in Z^n under abelianization, as
-        :func:`_exponent_rows` of the relators."""
-        return _exponent_rows(self.relators)
-
-
-def _exponent_rows(words):
-    """The one builder of exponent rows: a dict {generator: exponent sum}
-    per word, in word order, keys in order of first letter, zero sums and
-    all-zero rows kept; only :func:`_eliminate_units`' intake filters."""
-    rows = []
-    for word in words:
-        row = {}
-        for g, s in word:
-            row[g] = row.get(g, 0) + s
-        rows.append(row)
-    return rows
+        """The image of each relator in Z^n under abelianization: a dict
+        {generator: exponent sum} per relator, keys in order of first letter,
+        zero sums and all-zero rows kept; only the kernel's intake filters."""
+        rows = []
+        for word in self.relators:
+            row = {}
+            for g, s in word:
+                row[g] = row.get(g, 0) + s
+            rows.append(row)
+        return rows
 
 
 # ----------------------------------------------------------------------
@@ -480,7 +474,10 @@ def _eliminate_units(A, is_unit, inverse, modulus=None):
         if entries:
             rows[i] = entries
             for j in entries:
-                cols.setdefault(j, set()).add(i)
+                if j in cols:
+                    cols[j].add(i)
+                else:
+                    cols[j] = {i}
 
     heap = [(len(row), i) for i, row in rows.items()]
     heapify(heap)
@@ -491,14 +488,14 @@ def _eliminate_units(A, is_unit, inverse, modulus=None):
         pivot = rows.get(i)
         if pivot is None or len(pivot) != n:
             continue  # gone, or its length changed since
-        b = None  # least (column rows, column) of the row's units
+        j = None  # the unit column of least (column rows, column)
         for c, x in pivot.items():
-            if (b is None or (len(cols[c]), c) < b) and is_unit(x):
-                b = len(cols[c]), c
-        if b is None:
+            k = len(cols[c])
+            if (j is None or k < m or k == m and c < j) and is_unit(x):
+                j, m = c, k
+        if j is None:
             idle.add(i)
             continue
-        j = b[1]
         del rows[i]
         for c in pivot:
             cols[c].discard(i)

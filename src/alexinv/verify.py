@@ -245,7 +245,7 @@ def run_hironaka(names=None, primes=None, max_index=DEFAULT_MAX_INDEX):
         ab = base.abelianization
         for tup in _prime_tuples(entry, ab.rank, names, primes,
                                  _cover_prime_tuples(ab.rank, max_index)):
-            cm = free_abelian_cover(base, tup)
+            cm = free_abelian_cover(base, tup, max_index)
             actual = cover_homology(reidemeister_schreier(
                 _restricted(cm, *base.reduction), max_index)).rank
             predicted = hironaka_predicted_betti(base, cm)

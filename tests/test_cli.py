@@ -421,6 +421,26 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["symmetry"] == "Symmetric"
 
 
+@pytest.mark.parametrize("argv", [
+    ("torsion-cover", "--corpus", "mapping-torus-A"),
+    ("shalen-wagreich", "--corpus", "t3"),
+    ("hironaka", "--corpus", "mapping-torus-A")])
+def test_huge_prime_over_the_index_limit_exits_3(argv):
+    """The cover index is compared with --max-index before the prime is
+    tested: trial division up to the square root of this one would not
+    end, and these commands ran until killed."""
+    import subprocess
+    import sys
+    huge = "1000000000000000000000000000057"
+    proc = subprocess.run(
+        [sys.executable, "-m", "alexinv", "verify", *argv, "--primes", huge],
+        capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    index = int(huge) ** (3 if "t3" in argv else 1)
+    assert proc.stderr == ("error: cover of index %d exceeds the limit 256\n"
+                           % index)
+
+
 @pytest.mark.parametrize("argv", [("corpus", "list"),
                                   ("corpus", "show", "t3")])
 def test_closed_stdout_exits_1_without_traceback(argv):

@@ -978,6 +978,85 @@ class TestTietzeReducedCovers:
         assert sizes == [(128, 254)]
 
 
+class TestTrustedCoverMaps:
+    """The maps that free_abelian_cover, mod_p_cover and _restricted build
+    unchecked, through ``CoverMap._own``, are the maps the validating
+    constructor builds from the same parts."""
+
+    @staticmethod
+    def assert_valid(cm):
+        checked = CoverMap(cm.base, cm.deck, cm.assignment)
+        assert checked.base is cm.base and checked.deck == cm.deck
+        assert checked.assignment == cm.assignment
+        assert type(cm.assignment) is tuple
+        assert all(type(img) is tuple for img in cm.assignment)
+        assert checked == cm
+        return 1
+
+    def test_corpus_default_tuples(self):
+        """Every corpus entry with the default tuples of hironaka,
+        torsion-cover and shalen-wagreich, each map also restricted to the
+        Tietze-reduced base."""
+        count = restricted = 0
+        for entry in entries():
+            base = CoverBase(entry.presentation)
+            tuples = default_tuples(base.abelianization.rank)
+            maps = [free_abelian_cover(base, tup)
+                    for tup in tuples["hironaka"] + tuples["torsion"]]
+            maps += [mod_p_cover(base, p) for p in tuples["shalen"]]
+            for cm in maps:
+                red = alexinv.covers._restricted(cm, *base.reduction)
+                assert tietze_reduced(cm) == red
+                count += self.assert_valid(cm) + self.assert_valid(red)
+                restricted += red is not cm
+        assert (count, restricted) == (2 * (54 + 16 + 16), 24)
+
+    def test_seeded_restrictions(self):
+        """The seeded expanded maps, whose restrictions eliminate the
+        generators the Tietze moves added."""
+        rng = random.Random(22)
+        count = 0
+        for _ in range(60):
+            red = tietze_reduced(expanded_cover_map(rng))
+            count += self.assert_valid(red)
+        assert count == 60
+
+    def test_no_validation_where_built(self, monkeypatch):
+        """The cover maps a default suite run builds are not validated:
+        __post_init__, with a mod_p_rank per prime, ran for 98 maps of one
+        verify-suites pass."""
+        calls = Counter()
+        real = CoverMap.__post_init__
+
+        def counting(self):
+            calls["validated"] += 1
+            real(self)
+        monkeypatch.setattr(CoverMap, "__post_init__", counting)
+        for suite in (run_hironaka, run_torsion_cover, run_shalen_wagreich):
+            assert all(r.ok for r in suite())
+        assert calls["validated"] == 0
+        CoverMap(T3, DeckGroup((2,)), ((1,), (0,), (0,)))
+        assert calls["validated"] == 1
+
+    def test_index_checked_before_primality(self):
+        """A huge prime over the index limit fails at once: trial division
+        up to its square root would not end."""
+        huge = 10 ** 30 + 57
+        A = get("mapping-torus-A").presentation
+        with pytest.raises(CoverIndexError) as exc:
+            free_abelian_cover(A, (huge,), max_index=256)
+        assert exc.value.order == huge
+        with pytest.raises(CoverIndexError) as exc:
+            mod_p_cover(T3, huge, max_index=256)
+        assert exc.value.order == huge ** 3
+        with pytest.raises(CoverIndexError):
+            verify_torsion_cover_formula(A, (huge,))
+        with pytest.raises(CoverIndexError):
+            shalen_wagreich_check(T3, huge)
+        with pytest.raises(CoverIndexError):
+            run_hironaka(["mapping-torus-A"], [huge])
+
+
 class TestLazyCover:
     """``reidemeister_schreier`` returns a view that builds each piece on
     first read: the generator count and the exponent rows agree with the

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import alexinv.cyclotomic
 import alexinv.laurent
 from alexinv import alexander_polynomial, parse_presentation
 from alexinv.laurent import (LaurentPoly, MonomialUnit, ParseError, Symmetry,
                              classify_symmetry, divide_exact, format_poly,
                              gcd, gcd_list, involution, normalize, parse_poly,
                              root_of_unity_norm, trace)
+from alexinv.cyclotomic import cyclotomic_norm, galois_orbits
 from conftest import (assert_well_formed, classify_symmetry_oracle,
                       format_poly_oracle, group_ring_norm, int_det, mat_pow,
                       pack_per_term, prs_fallbacks, unit_quotient)
@@ -647,7 +649,7 @@ class TestRootOfUnityNorm:
         value = acc[0] - (acc[1] if p > 1 else 0)
         # undo the unit shift: each variable shift multiplies the product
         # by the product of all p-th roots of unity raised to that shift
-        sign = (-1) ** (lo * (p + 1))
+        sign = -1 if lo * (p + 1) % 2 else 1  # an int for negative lo
         return sign * value
 
     def test_against_brute_force(self):
@@ -689,6 +691,140 @@ class TestRootOfUnityNorm:
                 res = int_det(sylvester)
                 assert root_of_unity_norm(f, [p]) == \
                     (-1) ** (lo * (p + 1)) * res
+
+
+def orbit_norm(f, p):
+    """The Galois-orbit product in one variable, the path that arity >= 2
+    keeps: one cyclotomic norm per orbit of characters of Z/p."""
+    norm = 1
+    for exps, m, _ in galois_orbits((p,)):
+        a = [0] * m
+        for (k,), c in f.terms.items():
+            a[k * exps[0] * (m // p) % m] += c
+        norm *= cyclotomic_norm(a, m)
+    return norm
+
+
+def sylvester_resultant(f, g):
+    """Res(f, g) of integer lists (low to high) from the Sylvester matrix."""
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * i + f[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + g[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    return int_det(rows)
+
+
+class TestNormByPowering:
+    """The one-variable norm by powering (t^p mod Delta, then one
+    resultant) against the orbit product and the brute-force expansion."""
+
+    PRIMES = (2, 3, 5, 7, 31, 127, 1009)
+
+    @staticmethod
+    def seeded_polys(rng, count):
+        """Negative exponents, odd shifts, non-monic leading coefficients,
+        contents, constants and 0; degree spans up to 10, so a few take
+        the orbit path in root_of_unity_norm."""
+        out = [LaurentPoly.zero(1), LaurentPoly.constant(-3, 1),
+               LaurentPoly.constant(2, 1), t ** -3 * 5, t ** 7]
+        while len(out) < count:
+            f = random_poly(rng, span=rng.choice((2, 3, 4, 5)), terms=5)
+            if rng.random() < 0.2:
+                f = f * rng.choice((2, -3, 4))
+            out.append(f.shift((rng.randint(-5, 5),)) if f.terms else f)
+        return out
+
+    @staticmethod
+    def powered(f, p):
+        """root_of_unity_norm, checked against _norm_by_powering itself
+        where it is defined, past the degree that the public path powers."""
+        norm = root_of_unity_norm(f, [p])
+        if f.degree_span():
+            assert alexinv.laurent._norm_by_powering(f, p) == norm, (f, p)
+        return norm
+
+    def test_against_orbit_product(self):
+        """Every input at p <= 127, and every third at p = 1009, where the
+        orbit product takes milliseconds."""
+        rng = random.Random(31)
+        polys = self.seeded_polys(rng, 600)
+        kinds = Counter()
+        for i, f in enumerate(polys):
+            if f.terms:
+                (lo,), (hi,) = f.exponent_range()
+                kinds["negative"] += lo < 0
+                kinds["odd shift"] += lo % 2
+                kinds["non-monic"] += abs(f.terms[(hi,)]) != 1
+                kinds["content"] += math.gcd(*f.terms.values()) > 1
+                kinds["constant"] += lo == hi
+                kinds["powered"] += 0 < hi - lo <= \
+                    alexinv.laurent.POWER_MAX_DEGREE
+                kinds["orbit path"] += hi - lo > \
+                    alexinv.laurent.POWER_MAX_DEGREE
+            for p in self.PRIMES[:6 if i % 3 else 7]:
+                norm = self.powered(f, p)
+                assert norm == orbit_norm(f, p), (f, p)
+                kinds["nonzero"] += norm != 0
+        assert len(polys) >= 600 and min(kinds.values()) >= 10, kinds
+        assert kinds["powered"] >= 400, kinds
+
+    def test_against_brute_force(self):
+        rng = random.Random(32)
+        brute = TestRootOfUnityNorm()._brute_force
+        count = 0
+        for f in self.seeded_polys(rng, 120):
+            if f.terms:
+                for p in (2, 3, 5, 7, 31):
+                    assert self.powered(f, p) == brute(f, p), (f, p)
+                    count += 1
+        assert count >= 550
+
+    def test_vanishing_factors(self):
+        """A factor t - 1 or Phi_p vanishes at a p-th root of unity.  Past
+        p = 7, f Phi_p is too long to power and reaches the orbit path."""
+        rng = random.Random(33)
+        count = 0
+        phis = {p: LaurentPoly(1, {(k,): 1 for k in range(p)})
+                for p in self.PRIMES}
+        for f in self.seeded_polys(rng, 40)[1:]:
+            for p, phi in phis.items():
+                factors = (t - 1, phi, (t - 1) * phi) if p <= 7 else (t - 1,)
+                for factor in factors:
+                    assert self.powered(f * factor, p) == 0
+                    count += 1
+                if p <= 127:
+                    assert root_of_unity_norm(f * phi, [p]) == 0
+        assert count == 39 * (4 * 3 + 3)
+
+    def test_resultant_of_any_first_argument(self):
+        """The cyclotomic subresultant on a general first argument is the
+        Sylvester resultant, 0 on a common factor, content included."""
+        rng = random.Random(34)
+        zeros = 0
+        for _ in range(200):
+            f = [rng.randint(-5, 5) for _ in range(rng.randint(2, 6))]
+            f[-1] = f[-1] or 3
+            a = [rng.randint(-5, 5) for _ in range(rng.randint(1, len(f) - 1))]
+            if rng.random() < 0.25:  # a common factor t - 2
+                f = [x - 2 * y for x, y in zip([0] + f, f + [0])]
+                a = [x - 2 * y for x, y in zip([0] + a, a + [0])]
+            while len(a) > 1 and not a[-1]:
+                a.pop()
+            want = sylvester_resultant(f, a) if len(a) > 1 or a[0] else 0
+            assert alexinv.cyclotomic._subresultant(f, a, False) == want
+            zeros += want == 0
+        assert zeros >= 40
+
+    def test_time_at_16007(self):
+        """2t^2 - 3t + 2 at p = 16007: the orbit product's _prem against
+        Phi_p of degree 16006 took about 0.8 s."""
+        f = parse_poly("2*t^2 - 3*t + 2", 1)
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            norm = root_of_unity_norm(f, [16007])
+            best = min(best, time.perf_counter() - start)
+        assert norm == root_of_unity_norm(f * t ** 2, [16007]) != 0
+        assert best < 0.02, best
 
 
 NORM_PRIME_TUPLES = [(2,), (3,), (5,), (7,), (11,), (13,), (2, 2), (2, 3),
